@@ -75,32 +75,6 @@ void BM_KernelFft512(benchmark::State& state, simd::Tier tier) {
       static_cast<std::int64_t>(state.iterations() * buf.size() * 2));
 }
 
-// --- FFT engine A/B sweep: legacy radix-2 vs split-radix at the
-// host's best tier, across the family's power-of-two symbol sizes plus
-// two Bluestein (DRM) sizes whose inner convolution uses the same
-// engine. Pairs are named kernel_fft<N>/<engine>; regress.py gates the
-// split-radix engine on >= 1.8x over radix-2 for at least one size.
-
-void BM_KernelFftEngine(benchmark::State& state, std::size_t n,
-                        dsp::FftEngine engine) {
-  set_tier(state, simd::best_supported_tier());
-  const dsp::FftEngine saved = dsp::fft_engine();
-  dsp::fft_force_engine(engine);
-  dsp::Fft fft(n);  // tables pinned at construction
-  dsp::fft_force_engine(saved);
-  Rng rng(7);
-  cvec buf(n);
-  rng.complex_gaussian_fill(buf);
-  for (auto _ : state) {
-    fft.forward(buf, buf);
-    fft.inverse(buf, buf);
-    benchmark::DoNotOptimize(buf.data());
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * buf.size() * 2));
-  state.SetLabel(dsp::fft_engine_name(engine));
-}
-
 // --- Plan-acquisition attribution: cold (tables rebuilt from nothing)
 // vs cached (shared out of the process-wide plan cache). The gap is
 // what every Modulator / receiver / LinkRunner worker construction
@@ -197,21 +171,6 @@ void register_kernel_benches() {
       benchmark::RegisterBenchmark(
           (std::string(k.name) + "/" + simd::tier_name(best)).c_str(),
           k.fn, best)
-          ->Unit(benchmark::kMicrosecond);
-    }
-  }
-
-  // FFT size sweep: every pow2 symbol size class plus the two largest
-  // DRM Bluestein sizes, one radix2/splitradix pair each.
-  const std::size_t fft_sizes[] = {64, 256, 512, 2048, 8192, 448, 1152};
-  for (const std::size_t n : fft_sizes) {
-    for (const auto engine :
-         {dsp::FftEngine::kRadix2, dsp::FftEngine::kSplitRadix}) {
-      benchmark::RegisterBenchmark(
-          ("kernel_fft" + std::to_string(n) + "/" +
-           dsp::fft_engine_name(engine))
-              .c_str(),
-          BM_KernelFftEngine, n, engine)
           ->Unit(benchmark::kMicrosecond);
     }
   }

@@ -246,14 +246,6 @@ Transmitter::Burst Transmitter::modulate(
   return burst;
 }
 
-void Transmitter::modulate_batch(std::span<const bitvec> payloads,
-                                 std::vector<Burst>& bursts) {
-  bursts.resize(payloads.size());
-  for (std::size_t i = 0; i < payloads.size(); ++i) {
-    modulate_into(payloads[i], bursts[i]);
-  }
-}
-
 void Transmitter::modulate_into(std::span<const std::uint8_t> payload_bits,
                                 Burst& burst) {
   OFDM_REQUIRE(state_, kUnconfigured);

@@ -10,37 +10,16 @@ namespace ofdm::simd {
 namespace {
 
 const Kernels* table_for(Tier tier) {
-  switch (tier) {
 #if defined(__x86_64__) || defined(_M_X64)
-    case Tier::kSse2:
-      return &sse2_kernels();
-    case Tier::kAvx2:
-      return &avx2_kernels();
+  if (tier == Tier::kAvx2) return &avx2_kernels();
 #endif
-#if defined(__aarch64__)
-    case Tier::kNeon:
-      return &neon_kernels();
-#endif
-    default:
-      return &scalar_kernels();
-  }
+  (void)tier;
+  return &scalar_kernels();
 }
 
 /// Clamp a requested tier to what this build + CPU can actually run.
 Tier clamp_to_supported(Tier tier) {
-#if defined(__x86_64__) || defined(_M_X64)
-  if (tier == Tier::kNeon) return best_supported_tier();
-  if (tier == Tier::kAvx2 && !__builtin_cpu_supports("avx2")) {
-    return Tier::kSse2;
-  }
-  return tier;
-#elif defined(__aarch64__)
-  if (tier == Tier::kSse2 || tier == Tier::kAvx2) return Tier::kNeon;
-  return tier;
-#else
-  (void)tier;
-  return Tier::kScalar;
-#endif
+  return tier == Tier::kAvx2 ? best_supported_tier() : Tier::kScalar;
 }
 
 Tier tier_from_env() {
@@ -50,27 +29,18 @@ Tier tier_from_env() {
     return best_supported_tier();
   }
   if (std::strcmp(env, "scalar") == 0) return Tier::kScalar;
-  if (std::strcmp(env, "sse2") == 0) {
-    return clamp_to_supported(Tier::kSse2);
-  }
   if (std::strcmp(env, "avx2") == 0) {
     return clamp_to_supported(Tier::kAvx2);
   }
-  if (std::strcmp(env, "neon") == 0) {
-    return clamp_to_supported(Tier::kNeon);
-  }
   OFDM_REQUIRE(false, std::string("OFDM_SIMD: unknown tier '") + env +
-                          "' (want scalar|sse2|avx2|neon|auto)");
+                          "' (want scalar|avx2|auto)");
   return Tier::kScalar;
 }
 
 std::atomic<const Kernels*> g_kernels{nullptr};
-std::atomic<Tier> g_tier{Tier::kScalar};
 
 const Kernels* resolve() {
-  const Tier tier = tier_from_env();
-  const Kernels* table = table_for(tier);
-  g_tier.store(tier, std::memory_order_relaxed);
+  const Kernels* table = table_for(tier_from_env());
   // First resolver wins; a concurrent force_tier() may already have
   // installed a table, in which case keep it.
   const Kernels* expected = nullptr;
@@ -86,9 +56,7 @@ const Kernels* resolve() {
 
 Tier best_supported_tier() {
 #if defined(__x86_64__) || defined(_M_X64)
-  return __builtin_cpu_supports("avx2") ? Tier::kAvx2 : Tier::kSse2;
-#elif defined(__aarch64__)
-  return Tier::kNeon;
+  return __builtin_cpu_supports("avx2") ? Tier::kAvx2 : Tier::kScalar;
 #else
   return Tier::kScalar;
 #endif
@@ -101,27 +69,15 @@ const Kernels& kernels() {
 }
 
 Tier active_tier() {
-  kernels();  // force resolution
-  return g_tier.load(std::memory_order_relaxed);
+  return &kernels() == &scalar_kernels() ? Tier::kScalar : Tier::kAvx2;
 }
 
 std::string tier_name(Tier tier) {
-  switch (tier) {
-    case Tier::kScalar:
-      return "scalar";
-    case Tier::kSse2:
-      return "sse2";
-    case Tier::kAvx2:
-      return "avx2";
-    case Tier::kNeon:
-      return "neon";
-  }
-  return "scalar";
+  return tier == Tier::kAvx2 ? "avx2" : "scalar";
 }
 
 Tier force_tier(Tier tier) {
   const Tier actual = clamp_to_supported(tier);
-  g_tier.store(actual, std::memory_order_relaxed);
   g_kernels.store(table_for(actual), std::memory_order_release);
   return actual;
 }

@@ -1,9 +1,10 @@
 // Runtime tier selection for the SIMD kernel table.
 //
 // The tier is chosen exactly once, at first use: the `OFDM_SIMD`
-// environment variable wins if set ("scalar", "sse2", "avx2", "neon",
-// or "auto"), otherwise the best tier the CPU supports is picked. All
-// datapath code funnels through `kernels()`, so an A/B run is just
+// environment variable wins if set ("scalar", "avx2" or "auto"),
+// otherwise the best tier the CPU supports is picked (AVX2 on x86-64
+// hosts that report it, scalar everywhere else). All datapath code
+// funnels through `kernels()`, so an A/B run is just
 // `OFDM_SIMD=scalar ./bench_e5` against the default.
 #pragma once
 
@@ -15,25 +16,25 @@ namespace ofdm::simd {
 
 enum class Tier {
   kScalar,
-  kSse2,
   kAvx2,
-  kNeon,
 };
 
 /// The active kernel table. First call resolves OFDM_SIMD + CPU
-/// features; later calls are a single relaxed atomic load.
+/// features; later calls are a single atomic load.
 const Kernels& kernels();
 
-/// The active tier (resolves on first use, like kernels()).
+/// The tier of the installed table (resolves on first use, like
+/// kernels()). Derived from the table pointer itself, so it can never
+/// disagree with what kernels() runs.
 Tier active_tier();
 
-/// "scalar" / "sse2" / "avx2" / "neon".
+/// "scalar" / "avx2".
 std::string tier_name(Tier tier);
 
 /// Override the dispatch decision (benches and the digest-equivalence
-/// test use this to pit tiers against each other). Requesting a tier
-/// the CPU or build does not support falls back to the best supported
-/// tier at or below the request; returns the tier actually installed.
+/// test use this to pit tiers against each other). Requesting AVX2 on
+/// a host without it installs the scalar tier; returns the tier
+/// actually installed.
 Tier force_tier(Tier tier);
 
 /// Best tier this build + CPU supports (what auto-detection picks).

@@ -1,19 +1,15 @@
 // The vectorized kernel table behind the runtime-dispatch layer.
 //
 // Every entry is a hot inner loop from the scalar datapath, restated as
-// a free function over raw pointers so a tier (scalar / SSE2 / AVX2 /
-// NEON) can supply its own implementation. The contract for every
-// non-scalar tier is *bit-reproducibility on finite inputs*: a kernel
-// may reorder independent element lanes but must perform, per element,
-// exactly the scalar sequence of IEEE-754 operations (no FMA fusion, no
+// a free function over raw pointers so a tier (scalar / AVX2) can
+// supply its own implementation. The contract for the AVX2 tier is
+// *bit-reproducibility on finite inputs*: a kernel may reorder
+// independent element lanes but must perform, per element, exactly the
+// scalar sequence of IEEE-754 operations (no FMA fusion, no
 // reassociated reductions). Reductions therefore vectorize across
 // *outputs* (each lane accumulates its own output in scalar order),
-// never across the reduction axis.
-//
-// The one sanctioned exception: building with OFDM_SIMD_ALLOW_FMA=ON
-// lets the x86 tiers contract mul+add pairs into FMAs. That changes
-// low-order bits, and the golden-trace digests must be reblessed — see
-// DESIGN.md §13 for the policy.
+// never across the reduction axis. Kernel TUs always compile with
+// -ffp-contract=off — see DESIGN.md §13.
 #pragma once
 
 #include <cstddef>
@@ -24,26 +20,13 @@
 namespace ofdm::simd {
 
 struct Kernels {
-  /// Human-readable tier name ("scalar", "sse2", "avx2", "neon").
+  /// Human-readable tier name ("scalar", "avx2").
   const char* name;
-
-  /// One radix-2 DIT stage (len < n): for every block of `len` samples,
-  /// half = len/2 butterflies
-  ///   t = d[base+k+half] * tw[k];  d[base+k] = u + t;  d[base+k+half] = u - t;
-  /// with a contiguous per-stage twiddle table tw[0..half).
-  void (*fft_stage)(cplx* d, const cplx* tw, std::size_t n,
-                    std::size_t len);
-
-  /// The final stage (single block, half = n/2) with the output scale
-  /// folded into the butterfly writes: (u ± t) * scale. scale == 1.0
-  /// must skip the multiply entirely (matching the scalar reference).
-  void (*fft_last_stage)(cplx* d, const cplx* tw, std::size_t half,
-                         double scale);
 
   /// Split-radix fused first pass: gather the mixed digit-reversal
   /// permutation out[i] = in[perm[i]] and apply the trivial-twiddle
-  /// base butterflies in the same sweep (this is what retires the old
-  /// scalar bit-reversal scatter loop). `quads` lists the output
+  /// base butterflies in the same sweep (no separate scalar scatter
+  /// loop). `quads` lists the output
   /// offsets of 4-point DFT units — gathered input order (x0, x2, x1,
   /// x3) of the unit's sub-signal — and `pairs` the offsets of 2-point
   /// units. `inverse` flips the sign of the ±j rotation inside the
@@ -134,15 +117,8 @@ struct Kernels {
 const Kernels& scalar_kernels();
 
 #if defined(__x86_64__) || defined(_M_X64)
-/// SSE2 baseline tier (always available on x86-64).
-const Kernels& sse2_kernels();
 /// AVX2 tier; only call through if the CPU reports AVX2.
 const Kernels& avx2_kernels();
-#endif
-
-#if defined(__aarch64__)
-/// NEON tier (always available on AArch64).
-const Kernels& neon_kernels();
 #endif
 
 }  // namespace ofdm::simd

@@ -4,7 +4,7 @@
 // A CancelToken is shared between a controller thread (a daemon session
 // handler, a CLI signal handler) and the campaign workers. Workers
 // never block on it — they poll stop_requested() at their natural
-// boundaries (between trials inside LinkRunner::run_trials, at round
+// boundaries (between trials inside a campaign batch task, at round
 // completion in the campaign driver) and drain. Because an interrupted
 // round is discarded wholesale and the checkpoint only ever advances at
 // round boundaries, cancellation can land at ANY instant without

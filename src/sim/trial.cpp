@@ -23,10 +23,6 @@ struct LinkRunner::State {
   std::size_t payload_bits = 0;
   cvec channel_taps;  ///< multipath / twisted-pair FIR, empty for AWGN
 
-  // Batch-path scratch: reused across the trials of one run_trials call.
-  core::Transmitter::Burst burst_scratch;
-  cvec rx_scratch;
-
   TrialResult run_one(std::size_t trial_index,
                       core::Transmitter::Burst& burst, cvec& rx_samples);
 
@@ -81,21 +77,13 @@ std::size_t LinkRunner::payload_bits() const {
 }
 
 TrialResult LinkRunner::run_trial(std::size_t trial_index) {
-  core::Transmitter::Burst burst;
-  cvec rx_samples;
+  // One burst and one receive buffer per thread, reused by every trial
+  // the thread runs (a campaign worker's batches, a latency loop).
+  // Per thread rather than per runner, so a caller that keeps one
+  // runner per grid point does not keep a buffer pair per point.
+  thread_local core::Transmitter::Burst burst;
+  thread_local cvec rx_samples;
   return state_->run_one(trial_index, burst, rx_samples);
-}
-
-std::size_t LinkRunner::run_trials(std::size_t first_trial,
-                                   std::span<TrialResult> results,
-                                   const CancelToken* cancel) {
-  State& s = *state_;
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    if (cancel != nullptr && cancel->stop_requested()) return i;
-    results[i] =
-        s.run_one(first_trial + i, s.burst_scratch, s.rx_scratch);
-  }
-  return results.size();
 }
 
 TrialResult LinkRunner::State::run_one(std::size_t trial_index,

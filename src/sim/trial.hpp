@@ -11,7 +11,6 @@
 
 #include "core/transmitter.hpp"
 #include "rx/receiver.hpp"
-#include "sim/cancel.hpp"
 #include "sim/deck.hpp"
 #include "sim/estimator.hpp"
 
@@ -25,18 +24,10 @@ class LinkRunner {
   LinkRunner& operator=(LinkRunner&&) noexcept;
 
   /// Run one Monte-Carlo trial; TrialResult::seconds is filled with the
-  /// trial's wall time.
+  /// trial's wall time. The burst and receive buffers are reused
+  /// across calls on the same thread; the result does not depend on
+  /// which trials ran before.
   TrialResult run_trial(std::size_t trial_index);
-
-  /// Run `results.size()` consecutive trials starting at `first_trial`,
-  /// reusing the runner's burst and chunk buffers across the batch.
-  /// results[i] is bit-identical to run_trial(first_trial + i). When
-  /// `cancel` is non-null it is polled between trials; on a stop
-  /// request the batch returns early and only the first `return value`
-  /// entries of `results` are valid (the caller discards the batch).
-  std::size_t run_trials(std::size_t first_trial,
-                         std::span<TrialResult> results,
-                         const CancelToken* cancel = nullptr);
 
   /// Payload bits per trial after resolving the deck's payload_bits=0
   /// ("recommended") default for this point's standard.

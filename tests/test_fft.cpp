@@ -1,5 +1,5 @@
-// FFT unit & property tests: every execution path (split-radix,
-// legacy radix-2, Bluestein) against the O(N^2) reference DFT,
+// FFT unit & property tests: every execution path (split-radix, the
+// tiny scalar sizes 1/2/4, Bluestein) against the O(N^2) reference DFT,
 // round-trip identity, Parseval, the real-input / Hermitian-input
 // half-size plan kinds, the process-wide plan cache (including a
 // multi-threaded hammer), and the shift utilities.
@@ -26,7 +26,9 @@ cvec random_signal(std::size_t n, std::uint64_t seed) {
 }
 
 // Sizes cover every symbol length used by the family, including the DRM
-// non-power-of-two lengths that force the Bluestein path.
+// non-power-of-two lengths that force the Bluestein path. 8 and 32 are
+// the smallest split-radix plans: one combine level, and a mixed
+// quad/pair gather.
 class FftSizes : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(FftSizes, ForwardMatchesReferenceDft) {
@@ -70,17 +72,19 @@ TEST_P(FftSizes, ParsevalHolds) {
 
 INSTANTIATE_TEST_SUITE_P(
     FamilySymbolSizes, FftSizes,
-    ::testing::Values<std::size_t>(1, 2, 4, 16, 64, 256, 512, 1024, 2048,
-                                   8192,        // power-of-two members
+    ::testing::Values<std::size_t>(1, 2, 4, 8, 16, 32, 64, 256, 512, 1024,
+                                   2048, 8192,  // power-of-two members
                                    448, 704, 1152,  // DRM modes D, C, A
                                    3, 12, 100, 360,
                                    7, 31, 97, 509));  // primes (Bluestein)
 
 TEST(Fft, PathSelection) {
-  EXPECT_TRUE(Fft(64).is_radix2());
-  EXPECT_TRUE(Fft(8192).is_radix2());
-  EXPECT_FALSE(Fft(1152).is_radix2());
-  EXPECT_FALSE(Fft(448).is_radix2());
+  EXPECT_TRUE(Fft(4).is_pow2());
+  EXPECT_TRUE(Fft(64).is_pow2());
+  EXPECT_TRUE(Fft(8192).is_pow2());
+  EXPECT_FALSE(Fft(1152).is_pow2());
+  EXPECT_FALSE(Fft(448).is_pow2());
+  EXPECT_STREQ(fft_engine_name(fft_engine()), "splitradix");
 }
 
 TEST(Fft, SingleToneLandsInOneBin) {
@@ -103,7 +107,7 @@ TEST(Fft, SingleToneLandsInOneBin) {
 }
 
 TEST(Fft, InPlaceEqualsOutOfPlace) {
-  for (std::size_t n : {std::size_t{64}, std::size_t{448}}) {
+  for (std::size_t n : {1, 2, 4, 8, 64, 448}) {
     const cvec x = random_signal(n, 9);
     const Fft fft(n);
     const cvec out = fft.forward(x);
@@ -122,49 +126,21 @@ TEST(Fft, RejectsSizeMismatch) {
 
 TEST(Fft, RejectsSizeZero) { EXPECT_THROW(Fft(0), ConfigError); }
 
-// Restores the process engine choice on scope exit so engine-pinning
-// tests cannot leak into later ones.
-class EngineGuard {
- public:
-  EngineGuard() : saved_(fft_engine()) {}
-  ~EngineGuard() { fft_force_engine(saved_); }
-
- private:
-  FftEngine saved_;
-};
-
-TEST(FftEngineSel, NamesRoundTrip) {
-  EXPECT_STREQ(fft_engine_name(FftEngine::kSplitRadix), "splitradix");
-  EXPECT_STREQ(fft_engine_name(FftEngine::kRadix2), "radix2");
-}
-
-TEST(FftEngineSel, ForceOverridesAndReturns) {
-  EngineGuard guard;
-  EXPECT_EQ(fft_force_engine(FftEngine::kRadix2), FftEngine::kRadix2);
-  EXPECT_EQ(fft_engine(), FftEngine::kRadix2);
-  EXPECT_EQ(fft_force_engine(FftEngine::kSplitRadix),
-            FftEngine::kSplitRadix);
-  EXPECT_EQ(fft_engine(), FftEngine::kSplitRadix);
-}
-
-// The two power-of-two engines implement the same transform: pit them
-// against each other on random signals (forward, inverse, and through
-// the Bluestein inner convolution, whose tables embed the engine).
-TEST(FftEngineSel, EnginesAgreeOnRandomSignals) {
-  EngineGuard guard;
-  for (std::size_t n : {std::size_t{8}, std::size_t{64}, std::size_t{512},
-                        std::size_t{2048}, std::size_t{448},
-                        std::size_t{97}}) {
+// Forward and inverse (with an extra output scale) against the
+// reference DFT on random signals, through every path: the tiny
+// scalar sizes, split-radix, and the Bluestein inner convolution.
+TEST(Fft, ForwardAndScaledInverseMatchReference) {
+  for (std::size_t n : {1, 2, 4, 8, 64, 512, 2048, 448, 97}) {
     const cvec x = random_signal(n, 0xE5 + n);
-    fft_force_engine(FftEngine::kSplitRadix);
-    const Fft sr(n);
-    fft_force_engine(FftEngine::kRadix2);
-    const Fft r2(n);
-    EXPECT_LT(max_abs_error(sr.forward(x), r2.forward(x)),
+    const Fft fft(n);
+    EXPECT_LT(max_abs_error(fft.forward(x), reference_dft(x)),
               1e-9 * static_cast<double>(n))
         << "forward size " << n;
-    EXPECT_LT(max_abs_error(sr.inverse(x), r2.inverse(x)), 1e-11)
-        << "inverse size " << n;
+    cvec inv(n);
+    fft.inverse(x, inv, 0.5);
+    cvec ref = reference_dft(x, /*inverse=*/true);
+    for (cplx& v : ref) v *= 0.5;
+    EXPECT_LT(max_abs_error(inv, ref), 1e-11) << "inverse size " << n;
   }
 }
 
@@ -283,16 +259,6 @@ TEST(FftPlanCache, ClearDoesNotInvalidateLivePlans) {
   const cvec after = fft.forward(x);  // tables alive via shared_ptr
   EXPECT_LT(max_abs_error(before, after), 0.0 + 1e-15);
   EXPECT_EQ(fft_plan_cache_stats().entries, 0u);
-}
-
-TEST(FftPlanCache, EnginesGetDistinctEntries) {
-  EngineGuard guard;
-  fft_plan_cache_clear();
-  fft_force_engine(FftEngine::kSplitRadix);
-  const Fft sr(128);
-  fft_force_engine(FftEngine::kRadix2);
-  const Fft r2(128);
-  EXPECT_EQ(fft_plan_cache_stats().entries, 2u);
 }
 
 // The cache is the one piece of process-global mutable state in the

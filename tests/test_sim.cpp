@@ -1,17 +1,24 @@
 // Campaign-engine tests: deck parsing (errors name their field), grid
-// expansion, the CI early-stop rule, checkpoint/resume byte-identity of
-// the exported curves, and thread-count invariance.
+// expansion, the CI early-stop rule, trial results independent of the
+// runner's reused buffers, checkpoint/resume byte-identity of the
+// exported curves, and thread-count invariance.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <string>
+#include <thread>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
+#include "core/profiles.hpp"
+#include "core/transmitter.hpp"
 #include "sim/aggregator.hpp"
 #include "sim/campaign.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/deck.hpp"
 #include "sim/estimator.hpp"
+#include "sim/trial.hpp"
 
 namespace {
 
@@ -365,6 +372,65 @@ TEST(SimEstimator, EngineStopsEarlyWhenCiAllowsIt) {
   EXPECT_EQ(p.reason, sim::StopReason::kCiWidth);
   EXPECT_LT(p.trials, 200u);
   EXPECT_GE(p.trials, 8u);
+}
+
+// ---------------------------------------------------------------------------
+// Buffer reuse: run_trial keeps its burst and receive buffers across
+// trials (per thread), so a trial's result must not depend on what ran
+// before it.
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+TEST(SimLinkRunner, UsedRunnerMatchesFreshRunner) {
+  // Coded and uncoded, AWGN and a fading preset, EVM measured (the
+  // default): four grid points.
+  const auto deck = sim::parse_deck(
+      "standard=wlan_80211a@12\nsnr_db=10\nchannel=awgn,sui_3\n"
+      "rx=coded,uncoded\nmeasure_evm=1\npayload_bits=512\nseed=21\n");
+  const auto grid = sim::expand_grid(deck);
+  ASSERT_EQ(grid.size(), 4u);
+  const std::size_t k = 2;
+  for (const sim::PointSpec& p : grid) {
+    sim::LinkRunner used(deck, p);
+    for (std::size_t t : {5, 0, 3}) (void)used.run_trial(t);
+    const sim::TrialResult a = used.run_trial(k);
+    // A fresh runner on a fresh thread: its buffers have never held a
+    // burst.
+    sim::TrialResult b;
+    std::thread([&] { b = sim::LinkRunner(deck, p).run_trial(k); }).join();
+    EXPECT_GT(b.bits, 0u) << "point " << p.index;
+    EXPECT_GT(b.evm_ref2, 0.0) << "point " << p.index;
+    EXPECT_EQ(a.bits, b.bits) << "point " << p.index;
+    EXPECT_EQ(a.errors, b.errors) << "point " << p.index;
+    EXPECT_TRUE(same_bits(a.evm_err2, b.evm_err2)) << "point " << p.index;
+    EXPECT_TRUE(same_bits(a.evm_ref2, b.evm_ref2)) << "point " << p.index;
+  }
+
+  // The transmitter half of the same contract: one Burst reused across
+  // all ten standards (longer and shorter bursts in turn) matches a
+  // freshly allocated one every time.
+  core::Transmitter::Burst reused;
+  for (const core::Standard standard : core::kStandardFamily) {
+    core::Transmitter tx(core::profile_for(standard));
+    Rng rng(7);
+    const bitvec payload = rng.bits(
+        std::min<std::size_t>(tx.recommended_payload_bits(), 3000));
+    tx.modulate_into(payload, reused);
+    const auto fresh = tx.modulate(payload);
+    const std::string name = core::standard_name(standard);
+    ASSERT_EQ(fresh.samples.size(), reused.samples.size()) << name;
+    EXPECT_EQ(std::memcmp(fresh.samples.data(), reused.samples.data(),
+                          fresh.samples.size() * sizeof(cplx)),
+              0)
+        << name;
+    EXPECT_EQ(fresh.payload_bits, reused.payload_bits) << name;
+    EXPECT_EQ(fresh.coded_bits, reused.coded_bits) << name;
+    EXPECT_EQ(fresh.data_symbols, reused.data_symbols) << name;
+    EXPECT_EQ(fresh.null_samples, reused.null_samples) << name;
+    EXPECT_EQ(fresh.preamble_samples, reused.preamble_samples) << name;
+  }
 }
 
 // ---------------------------------------------------------------------------
