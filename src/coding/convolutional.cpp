@@ -32,17 +32,21 @@ PuncturePattern puncture_3_4() {
   return PuncturePattern{{{1, 0, 1}, {1, 1, 0}}};
 }
 
-ConvEncoder::ConvEncoder(ConvCode code) : code_(std::move(code)) {
-  OFDM_REQUIRE(code_.constraint_length >= 2 && code_.constraint_length <= 16,
-               "ConvEncoder: constraint length must be in 2..16");
-  OFDM_REQUIRE(!code_.generators.empty(),
-               "ConvEncoder: need at least one generator");
-  const std::uint32_t mask =
-      (std::uint32_t{1} << code_.constraint_length) - 1;
-  for (std::uint32_t g : code_.generators) {
+void validate(const ConvCode& code) {
+  OFDM_REQUIRE(code.constraint_length >= 2 && code.constraint_length <= 16,
+               "ConvCode: constraint length must be in 2..16");
+  OFDM_REQUIRE(!code.generators.empty() &&
+                   code.generators.size() <= kMaxConvOutputs,
+               "ConvCode: need 1..8 generators");
+  const std::uint32_t mask = (std::uint32_t{1} << code.constraint_length) - 1;
+  for (std::uint32_t g : code.generators) {
     OFDM_REQUIRE((g & ~mask) == 0,
-                 "ConvEncoder: generator exceeds constraint length");
+                 "ConvCode: generator exceeds constraint length");
   }
+}
+
+ConvEncoder::ConvEncoder(ConvCode code) : code_(std::move(code)) {
+  validate(code_);
 }
 
 bitvec ConvEncoder::encode(std::span<const std::uint8_t> bits) const {

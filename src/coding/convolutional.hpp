@@ -29,6 +29,15 @@ struct ConvCode {
   }
 };
 
+/// Most output streams a code may have: the decoder indexes a per-step
+/// branch-metric table by the packed expected outputs.
+inline constexpr std::size_t kMaxConvOutputs = 8;
+
+/// Throws ConfigError unless K is in 2..16 and the code has 1..8
+/// generators, each within K bits. ConvEncoder, ViterbiDecoder and
+/// core::validate all apply it.
+void validate(const ConvCode& code);
+
 /// The 802.11a / DVB-T / DAB mother code: K=7, g = (133, 171) octal.
 ConvCode k7_industry_code();
 

@@ -8,165 +8,100 @@
 namespace ofdm::coding {
 
 ViterbiDecoder::ViterbiDecoder(ConvCode code) : code_(std::move(code)) {
+  validate(code_);
   const std::size_t states = code_.num_states();
-  const unsigned kk = code_.constraint_length;
-  next_state_.resize(states * 2);
   out_bits_.resize(states * 2);
-  for (std::size_t s = 0; s < states; ++s) {
-    for (std::uint32_t b = 0; b < 2; ++b) {
-      const std::uint32_t window =
-          (b << (kk - 1)) | static_cast<std::uint32_t>(s);
-      next_state_[s * 2 + b] = window >> 1;
+  for (std::size_t ns = 0; ns < states; ++ns) {
+    for (std::uint32_t p = 0; p < 2; ++p) {
+      // Encoder window of the branch: input bit on top (bit K-1), the
+      // predecessor state below it.
+      const std::uint32_t window = (static_cast<std::uint32_t>(ns) << 1) | p;
       std::uint32_t packed = 0;
       for (std::size_t j = 0; j < code_.generators.size(); ++j) {
         packed |= static_cast<std::uint32_t>(
                       std::popcount(window & code_.generators[j]) & 1)
                   << j;
       }
-      out_bits_[s * 2 + b] = packed;
+      out_bits_[ns * 2 + p] = packed;
     }
   }
 }
 
 bitvec ViterbiDecoder::decode_terminated(
     std::span<const std::uint8_t> coded) const {
-  bitvec full = run(coded, /*terminated=*/true);
-  const unsigned tail = code_.constraint_length - 1;
-  OFDM_REQUIRE_DIM(full.size() >= tail,
-                   "decode_terminated: code word shorter than tail");
-  full.resize(full.size() - tail);
-  return full;
-}
-
-bitvec ViterbiDecoder::decode(std::span<const std::uint8_t> coded) const {
-  return run(coded, /*terminated=*/false);
+  // Hard symbols as LLRs. The branch metric becomes 2*hamming - n_t,
+  // where n_t counts the non-erased symbols of step t and is the same on
+  // every branch of the step, so every comparison and tie comes out as
+  // under the Hamming metric; the small integers are exact in double.
+  std::vector<double> llr(coded.size());
+  for (std::size_t i = 0; i < coded.size(); ++i) {
+    llr[i] = coded[i] == kErasure ? 0.0 : (coded[i] & 1u) ? -1.0 : 1.0;
+  }
+  return decode_soft_terminated(llr);
 }
 
 bitvec ViterbiDecoder::decode_soft_terminated(
     std::span<const double> llr) const {
-  bitvec full = run_soft(llr, /*terminated=*/true);
-  const unsigned tail = code_.constraint_length - 1;
-  OFDM_REQUIRE_DIM(full.size() >= tail,
-                   "decode_soft_terminated: code word shorter than tail");
-  full.resize(full.size() - tail);
-  return full;
-}
-
-bitvec ViterbiDecoder::run_soft(std::span<const double> llr,
-                                bool terminated) const {
   const unsigned n_out = code_.num_outputs();
   OFDM_REQUIRE_DIM(llr.size() % n_out == 0,
                    "Viterbi: LLR length not a multiple of output count");
   const std::size_t steps = llr.size() / n_out;
+  const unsigned tail = code_.constraint_length - 1;
+  OFDM_REQUIRE_DIM(steps >= tail, "Viterbi: code word shorter than tail");
   const std::size_t states = code_.num_states();
-  constexpr double kInf = 1e300;
+  const std::size_t half = states / 2;
+  const std::size_t words = (states + 63) / 64;
+  // States not reachable yet (the first K-1 steps) lose every
+  // comparison against a reachable one.
+  constexpr double kUnreached = std::numeric_limits<double>::infinity();
 
-  std::vector<double> metric(states, kInf);
-  std::vector<double> next_metric(states, kInf);
-  metric[0] = 0.0;
-
-  std::vector<std::uint8_t> survivor_bit(steps * states);
-  std::vector<std::uint32_t> survivor_prev(steps * states);
+  std::vector<double> metric(states, kUnreached);
+  std::vector<double> next(states);
+  metric[0] = 0.0;  // encoders start from the zero state
+  std::vector<double> bm(std::size_t{1} << n_out);
+  // Bit ns of step t: 1 when predecessor ((ns << 1) & (states - 1)) | 1
+  // won into state ns.
+  std::vector<std::uint64_t> decisions(steps * words, 0);
 
   for (std::size_t t = 0; t < steps; ++t) {
-    std::fill(next_metric.begin(), next_metric.end(), kInf);
-    for (std::size_t s = 0; s < states; ++s) {
-      if (metric[s] >= kInf) continue;
-      for (std::uint32_t b = 0; b < 2; ++b) {
-        const std::uint32_t ns = next_state_[s * 2 + b];
-        const std::uint32_t expected = out_bits_[s * 2 + b];
-        // Correlation metric: expected bit 1 pays +llr, bit 0 pays
-        // -llr; minimizing the sum is maximum-likelihood for
-        // llr = log P(0)/P(1).
-        double bm = 0.0;
-        for (unsigned j = 0; j < n_out; ++j) {
-          const double l = llr[t * n_out + j];
-          bm += ((expected >> j) & 1u) ? l : -l;
-        }
-        const double cand = metric[s] + bm;
-        if (cand < next_metric[ns]) {
-          next_metric[ns] = cand;
-          survivor_bit[t * states + ns] = static_cast<std::uint8_t>(b);
-          survivor_prev[t * states + ns] = static_cast<std::uint32_t>(s);
-        }
+    // Correlation metric per expected output pattern: expected bit 1
+    // pays +llr, bit 0 pays -llr; minimizing the sum is maximum-
+    // likelihood for llr = log P(0)/P(1).
+    const double* l = llr.data() + t * n_out;
+    for (std::size_t e = 0; e < bm.size(); ++e) {
+      double sum = 0.0;
+      for (unsigned j = 0; j < n_out; ++j) {
+        sum += ((e >> j) & 1u) ? l[j] : -l[j];
+      }
+      bm[e] = sum;
+    }
+    std::uint64_t* decided = decisions.data() + t * words;
+    // Gather-form butterfly: states j and j + half share the
+    // predecessors 2j and 2j+1. The odd predecessor wins only when
+    // strictly better, so ties go to the lower state.
+    for (std::size_t j = 0; j < half; ++j) {
+      const double m0 = metric[2 * j];
+      const double m1 = metric[2 * j + 1];
+      for (const std::size_t ns : {j, j + half}) {
+        const double c0 = m0 + bm[out_bits_[ns * 2]];
+        const double c1 = m1 + bm[out_bits_[ns * 2 + 1]];
+        const bool odd = c1 < c0;
+        next[ns] = odd ? c1 : c0;
+        decided[ns >> 6] |= std::uint64_t{odd} << (ns & 63);
       }
     }
-    metric.swap(next_metric);
+    metric.swap(next);
   }
 
-  std::size_t best = 0;
-  if (!terminated) {
-    for (std::size_t s = 1; s < states; ++s) {
-      if (metric[s] < metric[best]) best = s;
-    }
-  }
-
-  bitvec decoded(steps);
-  std::size_t s = best;
+  // Terminated: the tail drives the encoder back to the zero state.
+  bitvec decoded(steps - tail);
+  const unsigned top = code_.constraint_length - 2;
+  std::size_t s = 0;
   for (std::size_t t = steps; t-- > 0;) {
-    decoded[t] = survivor_bit[t * states + s];
-    s = survivor_prev[t * states + s];
-  }
-  return decoded;
-}
-
-bitvec ViterbiDecoder::run(std::span<const std::uint8_t> coded,
-                           bool terminated) const {
-  const unsigned n_out = code_.num_outputs();
-  OFDM_REQUIRE_DIM(coded.size() % n_out == 0,
-                   "Viterbi: coded length not a multiple of output count");
-  const std::size_t steps = coded.size() / n_out;
-  const std::size_t states = code_.num_states();
-  constexpr std::uint32_t kInf = std::numeric_limits<std::uint32_t>::max() / 2;
-
-  std::vector<std::uint32_t> metric(states, kInf);
-  std::vector<std::uint32_t> next_metric(states, kInf);
-  metric[0] = 0;  // encoders start from the zero state
-
-  // survivors[t*states + s] = input bit of the winning branch into s at t.
-  std::vector<std::uint8_t> survivor_bit(steps * states);
-  std::vector<std::uint32_t> survivor_prev(steps * states);
-
-  for (std::size_t t = 0; t < steps; ++t) {
-    std::fill(next_metric.begin(), next_metric.end(), kInf);
-    for (std::size_t s = 0; s < states; ++s) {
-      if (metric[s] >= kInf) continue;
-      for (std::uint32_t b = 0; b < 2; ++b) {
-        const std::uint32_t ns = next_state_[s * 2 + b];
-        const std::uint32_t expected = out_bits_[s * 2 + b];
-        std::uint32_t bm = 0;
-        for (unsigned j = 0; j < n_out; ++j) {
-          const std::uint8_t r = coded[t * n_out + j];
-          if (r == kErasure) continue;
-          bm += ((expected >> j) & 1u) != (r & 1u);
-        }
-        const std::uint32_t cand = metric[s] + bm;
-        if (cand < next_metric[ns]) {
-          next_metric[ns] = cand;
-          survivor_bit[t * states + ns] = static_cast<std::uint8_t>(b);
-          survivor_prev[t * states + ns] = static_cast<std::uint32_t>(s);
-        }
-      }
-    }
-    metric.swap(next_metric);
-  }
-
-  // Pick the end state.
-  std::size_t best = 0;
-  if (terminated) {
-    best = 0;
-  } else {
-    for (std::size_t s = 1; s < states; ++s) {
-      if (metric[s] < metric[best]) best = s;
-    }
-  }
-
-  // Traceback.
-  bitvec decoded(steps);
-  std::size_t s = best;
-  for (std::size_t t = steps; t-- > 0;) {
-    decoded[t] = survivor_bit[t * states + s];
-    s = survivor_prev[t * states + s];
+    if (t < decoded.size()) decoded[t] = static_cast<std::uint8_t>(s >> top);
+    const std::uint64_t odd =
+        (decisions[t * words + (s >> 6)] >> (s & 63)) & 1u;
+    s = ((s << 1) & (states - 1)) | odd;
   }
   return decoded;
 }

@@ -1,6 +1,7 @@
-// Hard-decision Viterbi decoder for the convolutional codes in
-// coding/convolutional.hpp. Used by the reference receivers to close the
-// TX->RX loop and by the BER experiments.
+// Viterbi decoder for the convolutional codes in coding/convolutional.hpp:
+// one add-compare-select core serves hard- and soft-decision input. Used
+// by the RX Mother Model to close the TX->RX loop and by the BER
+// experiments.
 #pragma once
 
 #include <span>
@@ -10,21 +11,22 @@
 
 namespace ofdm::coding {
 
-/// Maximum-likelihood sequence decoder (hard decisions, Hamming metric).
+/// Maximum-likelihood sequence decoder for terminated code words.
 ///
-/// Input symbols may be 0, 1 or kErasure (from depuncture()); erasures
-/// contribute nothing to any branch metric.
+/// Hard input symbols are 0, 1 or kErasure (from depuncture()); they
+/// enter the soft core as the LLRs +1, -1 and 0, so erasures contribute
+/// nothing to any branch metric and the decisions equal those of a
+/// Hamming-metric decoder. On equal path metrics the lower-numbered
+/// predecessor state wins.
 class ViterbiDecoder {
  public:
+  /// Throws ConfigError unless coding::validate(code) accepts the code.
   explicit ViterbiDecoder(ConvCode code);
 
-  /// Decode a terminated code word (encoder used encode_terminated()):
-  /// forces the end state to zero and strips the (K-1) tail bits.
+  /// Decode a hard-decision terminated code word (encoder used
+  /// encode_terminated()): ends in the zero state and strips the (K-1)
+  /// tail bits.
   bitvec decode_terminated(std::span<const std::uint8_t> coded) const;
-
-  /// Decode an unterminated code word: best end state wins, all decision
-  /// bits are returned.
-  bitvec decode(std::span<const std::uint8_t> coded) const;
 
   /// Soft-decision decoding from LLRs (convention: llr > 0 => coded bit
   /// 0 more likely; llr == 0 == erasure). Terminated code words.
@@ -34,13 +36,11 @@ class ViterbiDecoder {
   const ConvCode& code() const { return code_; }
 
  private:
-  bitvec run(std::span<const std::uint8_t> coded, bool terminated) const;
-  bitvec run_soft(std::span<const double> llr, bool terminated) const;
-
   ConvCode code_;
-  // Precomputed per (state, input): next state and expected output bits.
-  std::vector<std::uint32_t> next_state_;   // [state*2 + input]
-  std::vector<std::uint32_t> out_bits_;     // packed expected outputs
+  // Expected output bits (bit j from generator j) of the branch into
+  // state ns from predecessor ((ns << 1) & (states - 1)) | p, at
+  // [ns * 2 + p].
+  std::vector<std::uint32_t> out_bits_;
 };
 
 }  // namespace ofdm::coding

@@ -308,31 +308,18 @@ SyncReport MotherReceiver::synchronize(std::span<const cplx> stream,
   const OfdmParams& p = params_;
   SyncReport report;
   if (p.frame.preamble == PreambleKind::kWlan) {
-    // Schmidl&Cox plateau on the STF's 16-sample periodicity; require
-    // the plateau to persist for half the STF to reject noise spikes.
-    const rvec metric = stf_metric(stream);
-    constexpr double kThreshold = 0.7;
-    constexpr std::size_t kPlateau = 80;
-    std::size_t run = 0;
-    for (std::size_t i = 0; i < metric.size(); ++i) {
-      if (metric[i] > kThreshold) {
-        if (++run >= kPlateau) {
-          const std::size_t stf = i + 1 - run;
-          report.used_preamble = true;
-          report.metric = metric[i];
-          report.offset =
-              stf >= p.frame.null_samples ? stf - p.frame.null_samples : 0;
-          if (stf + 16 + 96 + 16 <= stream.size()) {
-            report.cfo_hz =
-                estimate_cfo(stream, stf + 16, 16, 96, sample_rate);
-          }
-          return report;
-        }
-      } else {
-        run = 0;
-      }
+    // Schmidl&Cox plateau on the STF's 16-sample periodicity.
+    const auto plateau = detect_stf_plateau(stream);
+    if (!plateau) return report;  // no plateau: metric stays 0
+    const std::size_t stf = plateau->start;
+    report.used_preamble = true;
+    report.metric = plateau->metric;
+    report.offset =
+        stf >= p.frame.null_samples ? stf - p.frame.null_samples : 0;
+    if (stf + 16 + 96 + 16 <= stream.size()) {
+      report.cfo_hz = estimate_cfo(stream, stf + 16, 16, 96, sample_rate);
     }
-    return report;  // no plateau: metric stays 0
+    return report;
   }
   // Everywhere else: cyclic-prefix correlation. The first strict
   // maximum locks the earliest symbol boundary, which for a clean burst

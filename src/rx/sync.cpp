@@ -56,6 +56,21 @@ rvec stf_metric(std::span<const cplx> samples) {
   return m;
 }
 
+std::optional<StfPlateau> detect_stf_plateau(std::span<const cplx> samples) {
+  constexpr double kThreshold = 0.7;
+  constexpr std::size_t kPlateau = 80;
+  const rvec metric = stf_metric(samples);
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < metric.size(); ++i) {
+    if (metric[i] > kThreshold) {
+      if (++run >= kPlateau) return StfPlateau{i + 1 - run, metric[i]};
+    } else {
+      run = 0;
+    }
+  }
+  return std::nullopt;
+}
+
 double estimate_cfo(std::span<const cplx> samples, std::size_t offset,
                     std::size_t period, std::size_t span_len,
                     double sample_rate) {

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <span>
 
 #include "common/types.hpp"
@@ -25,6 +26,16 @@ TimingEstimate cp_timing(std::span<const cplx> samples,
 /// Schmidl&Cox metric using the 16-sample periodicity of the 802.11a STF:
 /// returns the normalized metric sequence M[d] (length samples-32).
 rvec stf_metric(std::span<const cplx> samples);
+
+/// A detected 802.11a STF plateau.
+struct StfPlateau {
+  std::size_t start = 0;  ///< first sample of the plateau (STF start)
+  double metric = 0.0;    ///< stf_metric where the plateau was confirmed
+};
+
+/// Packet detection: the first run of stf_metric above 0.7 that lasts 80
+/// samples (half the STF, so noise spikes are rejected), or nullopt.
+std::optional<StfPlateau> detect_stf_plateau(std::span<const cplx> samples);
 
 /// Estimate a fractional CFO from the phase of the delayed
 /// autocorrelation with lag `period` over `span_len` samples at `offset`.

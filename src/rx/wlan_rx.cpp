@@ -6,6 +6,7 @@
 #include "common/error.hpp"
 #include "core/preamble.hpp"
 #include "dsp/fft.hpp"
+#include "rx/mother/mother_rx.hpp"
 #include "rx/sync.hpp"
 
 namespace ofdm::rx {
@@ -45,37 +46,20 @@ WlanPacketReceiver::WlanPacketReceiver(core::OfdmParams params)
                "WlanPacketReceiver: needs the 802.11a burst structure");
 }
 
-std::optional<std::size_t> WlanPacketReceiver::detect(
-    std::span<const cplx> stream) const {
-  const rvec metric = stf_metric(stream);
-  // Require the plateau to persist for half the STF to reject noise
-  // spikes.
-  constexpr std::size_t kPlateau = 80;
-  std::size_t run = 0;
-  for (std::size_t i = 0; i < metric.size(); ++i) {
-    if (metric[i] > threshold_) {
-      if (++run >= kPlateau) return i + 1 - run;
-    } else {
-      run = 0;
-    }
-  }
-  return std::nullopt;
-}
-
 WlanRxResult WlanPacketReceiver::receive(std::span<const cplx> stream,
                                          std::size_t payload_bits) const {
   WlanRxResult result;
   const double fs = params_.sample_rate;
 
   // 1. Packet detection on the raw stream.
-  const auto d0 = detect(stream);
-  if (!d0) return result;
+  const auto plateau = detect_stf_plateau(stream);
+  if (!plateau) return result;
   result.detected = true;
 
   // 2. Coarse CFO from the STF's 16-sample periodicity. The correlator
   // x(t) x*(t+16) rotates by +2*pi*f*16/fs for CFO f, and estimate_cfo
   // returns arg/(2*pi*lag)*fs, i.e. +f directly.
-  const std::size_t stf = *d0;
+  const std::size_t stf = plateau->start;
   if (stf + 160 > stream.size()) return result;
   result.coarse_cfo_hz = estimate_cfo(stream, stf + 16, 16, 96, fs);
 
@@ -126,11 +110,11 @@ WlanRxResult WlanPacketReceiver::receive(std::span<const cplx> stream,
     if (std::abs(h) > 1e-12) eq[bin] = 1.0 / h;
   }
 
-  // 6/7. Generic pipeline with the estimated equalizer and pilot-based
+  // 6/7. Mother receiver with the estimated equalizer and pilot-based
   // common-phase-error tracking (absorbs residual CFO).
-  Receiver rx(params_);
+  MotherReceiver rx(params_);
   rx.set_equalizer(std::move(eq));
-  rx.enable_pilot_phase_tracking(true);
+  rx.set_pilot_tracking(true);
   auto decoded = rx.demodulate(corrected, payload_bits);
   result.payload = std::move(decoded.payload);
   result.symbols = decoded.symbols;

@@ -1,6 +1,6 @@
 // Complete 802.11a acquisition receiver.
 //
-// The generic rx::Receiver assumes a perfectly aligned burst; this
+// rx::MotherReceiver demodulates a burst it is handed aligned; this
 // receiver performs the full acquisition chain a real RF front-end
 // needs, making the co-simulation experiments end-to-end realistic:
 //
@@ -10,13 +10,12 @@
 //   4. fine CFO              — LTF 64-sample autocorrelation (±156 kHz)
 //   5. channel estimation    — averaged over both long training symbols
 //   6. per-symbol tracking   — common phase error from the four pilots
-//   7. demap / deinterleave / Viterbi / descramble via the generic chain
+//   7. demap / deinterleave / Viterbi / descramble via MotherReceiver
 #pragma once
 
-#include <optional>
+#include <span>
 
 #include "core/params.hpp"
-#include "rx/receiver.hpp"
 
 namespace ofdm::rx {
 
@@ -36,19 +35,13 @@ class WlanPacketReceiver {
   /// WLAN preamble).
   explicit WlanPacketReceiver(core::OfdmParams params);
 
-  /// Detection threshold on the normalized STF plateau metric.
-  void set_detection_threshold(double m) { threshold_ = m; }
-
   /// Process a sample stream containing (at most) one burst at an
   /// unknown offset with unknown CFO; returns the decoded payload.
   WlanRxResult receive(std::span<const cplx> stream,
                        std::size_t payload_bits) const;
 
  private:
-  std::optional<std::size_t> detect(std::span<const cplx> stream) const;
-
   core::OfdmParams params_;
-  double threshold_ = 0.7;
 };
 
 }  // namespace ofdm::rx

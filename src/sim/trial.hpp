@@ -9,8 +9,10 @@
 // contributes identical counts.
 #pragma once
 
+#include <cstddef>
+#include <memory>
+
 #include "core/transmitter.hpp"
-#include "rx/receiver.hpp"
 #include "sim/deck.hpp"
 #include "sim/estimator.hpp"
 

@@ -2,9 +2,12 @@
 // and Viterbi decoding under clean, erased and corrupted conditions.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "coding/convolutional.hpp"
 #include "coding/viterbi.hpp"
 #include "common/bits.hpp"
+#include "common/error.hpp"
 #include "common/rng.hpp"
 
 namespace ofdm::coding {
@@ -99,22 +102,6 @@ TEST_P(ViterbiRates, CorrectsScatteredBitErrors) {
 
 INSTANTIATE_TEST_SUITE_P(AllRates, ViterbiRates, ::testing::Values(0, 1, 2));
 
-TEST(Viterbi, UnterminatedDecodingWorks) {
-  const ConvCode code = k7_industry_code();
-  const ConvEncoder enc(code);
-  const ViterbiDecoder dec(code);
-  Rng rng(45);
-  const bitvec msg = rng.bits(100);
-  const bitvec coded = enc.encode(msg);
-  const bitvec decoded = dec.decode(coded);
-  ASSERT_EQ(decoded.size(), msg.size());
-  // The tail of an unterminated decode can be ambiguous; the body must
-  // match exactly.
-  for (std::size_t i = 0; i + 8 < msg.size(); ++i) {
-    EXPECT_EQ(decoded[i], msg[i]) << "position " << i;
-  }
-}
-
 TEST(Viterbi, BurstsBeyondCapacityFail) {
   // A long error burst must defeat the code (sanity: the decoder is not
   // an oracle). 40 consecutive flips >> free distance.
@@ -138,6 +125,26 @@ TEST(Viterbi, ShorterConstraintLengthCode) {
   Rng rng(47);
   const bitvec msg = rng.bits(80);
   EXPECT_EQ(dec.decode_terminated(enc.encode_terminated(msg)), msg);
+}
+
+TEST(ConvCodeValidation, DecoderRejectsInvalidCodes) {
+  ConvCode no_generators = k7_industry_code();
+  no_generators.generators.clear();
+  ConvCode too_long = k7_industry_code();
+  too_long.constraint_length = 20;
+  ConvCode too_short = k7_industry_code();
+  too_short.constraint_length = 1;
+  ConvCode too_wide = k7_industry_code();
+  too_wide.generators = {0133, 0777};
+  ConvCode too_many = k7_industry_code();
+  too_many.generators.assign(kMaxConvOutputs + 1, 0133);
+  for (const ConvCode& bad :
+       {no_generators, too_long, too_short, too_wide, too_many}) {
+    EXPECT_THROW(ViterbiDecoder{bad}, ConfigError);
+    EXPECT_THROW(ConvEncoder{bad}, ConfigError);
+  }
+  too_many.generators.pop_back();
+  EXPECT_NO_THROW(ViterbiDecoder{too_many});
 }
 
 }  // namespace
@@ -202,6 +209,146 @@ TEST(ViterbiSoft, DepunctureSoftInsertsZeroLlrs) {
   for (double l : llr) zeros += l == 0.0;
   EXPECT_EQ(zeros, (msg.size() + 6) * 2 - punct.size());
   EXPECT_EQ(dec.decode_soft_terminated(llr), msg);
+}
+
+}  // namespace
+}  // namespace ofdm::coding
+
+// --- pinned decoder outputs -----------------------------------------------
+//
+// Digests of decode_terminated / decode_soft_terminated over a seeded
+// corpus of noisy code words: bit flips and erasures on the hard path,
+// integer-rounded LLRs (many exact metric ties) on the soft path, at
+// rates 1/2, 2/3 and 3/4. Any change to branch metrics, add-compare-
+// select or tie-breaking (the lowest predecessor wins on equal metrics)
+// moves a digest. The constants were recorded from the decoder these
+// tests were introduced against; they must never be re-recorded to
+// accommodate a decoder change.
+
+namespace ofdm::coding {
+namespace {
+
+struct DigestCode {
+  ConvCode code;
+  std::uint64_t hard_digest;
+  std::uint64_t soft_digest;
+};
+
+ConvCode make_code(unsigned k, std::vector<std::uint32_t> gens) {
+  ConvCode c;
+  c.constraint_length = k;
+  c.generators = std::move(gens);
+  return c;
+}
+
+std::vector<DigestCode> digest_codes() {
+  return {
+      {make_code(3, {05, 07}),  //
+       0x3a390d8da81721f4ull, 0x4c6618dbc962ab60ull},
+      {make_code(5, {023, 035}),  //
+       0x0881937dbdf6f530ull, 0xe36495a4f1417d39ull},
+      {k7_industry_code(),  //
+       0xb0d4aac921deb430ull, 0xc4d700929454feb4ull},
+      {make_code(9, {0561, 0753}),  //
+       0x187f503f6ca486bbull, 0xd3fc43ec48a66b41ull},
+  };
+}
+
+constexpr int kDigestTrials = 24;
+
+void fnv_mix(std::uint64_t& h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xFFu;
+    h *= 0x100000001B3ull;
+  }
+}
+
+PuncturePattern digest_pattern(int trial) {
+  switch (trial % 3) {
+    case 0: return puncture_none();
+    case 1: return puncture_2_3();
+    default: return puncture_3_4();
+  }
+}
+
+// Message length whose mother code word spans whole puncture periods of
+// every pattern (steps divisible by 6).
+std::size_t digest_msg_len(Rng& rng, unsigned k) {
+  return 6 * (8 + rng.uniform_int(40)) - (k - 1);
+}
+
+// Length of a terminated message's unpunctured code word.
+std::size_t mother_len(std::size_t msg_bits, const ConvCode& code) {
+  return (msg_bits + code.constraint_length - 1) * code.num_outputs();
+}
+
+std::uint64_t hard_corpus_digest(const ConvCode& code) {
+  const ConvEncoder enc(code);
+  const ViterbiDecoder dec(code);
+  Rng rng(0xD1C0DE00u + code.constraint_length);
+  std::uint64_t h = 0xCBF29CE484222325ull;
+  for (int trial = 0; trial < kDigestTrials; ++trial) {
+    const bitvec msg = rng.bits(digest_msg_len(rng, code.constraint_length));
+    const PuncturePattern pat = digest_pattern(trial);
+    bitvec sent = puncture(enc.encode_terminated(msg), pat);
+    const double flip_p = 0.01 * (trial % 12);
+    for (auto& b : sent) {
+      if (rng.uniform() < flip_p) b ^= 1u;
+    }
+    bitvec rest = depuncture(sent, pat, mother_len(msg.size(), code));
+    if (trial % 2 == 1) {
+      for (auto& b : rest) {
+        if (rng.uniform() < 0.15) b = kErasure;
+      }
+    }
+    const bitvec out = dec.decode_terminated(rest);
+    fnv_mix(h, out.size());
+    for (std::uint8_t b : out) fnv_mix(h, b);
+  }
+  return h;
+}
+
+std::uint64_t soft_corpus_digest(const ConvCode& code) {
+  const ConvEncoder enc(code);
+  const ViterbiDecoder dec(code);
+  Rng rng(0x50F7C0DEu + code.constraint_length);
+  std::uint64_t h = 0xCBF29CE484222325ull;
+  for (int trial = 0; trial < kDigestTrials; ++trial) {
+    const bitvec msg = rng.bits(digest_msg_len(rng, code.constraint_length));
+    const PuncturePattern pat = digest_pattern(trial);
+    const bitvec sent = puncture(enc.encode_terminated(msg), pat);
+    // Small integer LLRs: coarse quantization makes equal path metrics
+    // common, so the tie-breaking rule is exercised on every code word.
+    const double scale = 1.0 + static_cast<double>(trial % 3);
+    const double sigma = 0.3 + 0.1 * static_cast<double>(trial % 8);
+    rvec llr(sent.size());
+    for (std::size_t i = 0; i < sent.size(); ++i) {
+      const double s = sent[i] ? -1.0 : 1.0;
+      llr[i] = std::round(scale * (s + sigma * rng.gaussian()));
+    }
+    const rvec rest =
+        depuncture_soft(llr, pat, mother_len(msg.size(), code));
+    const bitvec out = dec.decode_soft_terminated(rest);
+    fnv_mix(h, out.size());
+    for (std::uint8_t b : out) fnv_mix(h, b);
+  }
+  return h;
+}
+
+TEST(ViterbiDigest, HardDecodingOutputsArePinned) {
+  for (const DigestCode& c : digest_codes()) {
+    EXPECT_EQ(hard_corpus_digest(c.code), c.hard_digest)
+        << "K=" << c.code.constraint_length << " got 0x" << std::hex
+        << hard_corpus_digest(c.code);
+  }
+}
+
+TEST(ViterbiDigest, SoftDecodingOutputsArePinned) {
+  for (const DigestCode& c : digest_codes()) {
+    EXPECT_EQ(soft_corpus_digest(c.code), c.soft_digest)
+        << "K=" << c.code.constraint_length << " got 0x" << std::hex
+        << soft_corpus_digest(c.code);
+  }
 }
 
 }  // namespace
