@@ -17,6 +17,8 @@
 # handling, and mid-stream disconnects all chew on external bytes.
 # test_convolutional covers the Viterbi core's packed decision words and
 # the ConvCode validation that keeps malformed codes out of it.
+# test_mother_rx runs the receiver's acquisition windows on streams cut
+# inside the preamble and the geometry checks that size its equalizer.
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -28,7 +30,7 @@ cmake -B "${build}" -S "${repo}" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
 cmake --build "${build}" -j \
   --target test_guard test_fault test_snapshot test_rf test_channels \
-  test_state_fuzz test_net test_convolutional
+  test_state_fuzz test_net test_convolutional test_mother_rx
 ctest --test-dir "${build}" \
-  -R '^(test_guard|test_fault|test_snapshot|test_rf|test_channels|test_state_fuzz|test_net|test_convolutional)$' \
+  -R '^(test_guard|test_fault|test_snapshot|test_rf|test_channels|test_state_fuzz|test_net|test_convolutional|test_mother_rx)$' \
   --output-on-failure "$@"

@@ -1,5 +1,6 @@
 #include "core/params.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <sstream>
 #include <type_traits>
@@ -42,8 +43,10 @@ void validate(const OfdmParams& p) {
                "OfdmParams: window ramp cannot exceed the cyclic prefix");
   OFDM_REQUIRE(p.frame.symbols_per_frame >= 1,
                "OfdmParams: need at least one symbol per frame");
-  OFDM_REQUIRE(p.threads >= 1,
-               "OfdmParams: threads must be >= 1 (the caller counts)");
+  if (p.frame.preamble == PreambleKind::kWlan) {
+    OFDM_REQUIRE(p.fft_size == 64,
+                 "OfdmParams: the 802.11a preamble needs a 64-point FFT");
+  }
 
   if (p.hermitian) {
     OFDM_REQUIRE(p.tone_map[0] == ToneType::kNull,
@@ -125,6 +128,33 @@ std::size_t coded_bits_per_symbol(const OfdmParams& p) {
       return mapping::table_bits(p.bit_table);
   }
   return 0;
+}
+
+ChainLengths chain_lengths(const OfdmParams& p, std::size_t payload_bits) {
+  ChainLengths len;
+  std::size_t bits = payload_bits;
+  if (p.fec.rs_enabled) {
+    const std::size_t bytes = (bits + 7) / 8;
+    const std::size_t blocks =
+        std::max<std::size_t>((bytes + p.fec.rs_k - 1) / p.fec.rs_k, 1);
+    bits = blocks * p.fec.rs_n * 8;
+  }
+  len.rs_out_bits = bits;
+  if (p.fec.conv_enabled) {
+    const std::size_t steps = bits + p.fec.conv.constraint_length - 1;
+    len.mother_bits = steps * p.fec.conv.generators.size();
+    const auto& pat = p.fec.puncture;
+    const std::size_t period = pat.period();
+    std::size_t coded = (steps / period) * pat.kept_per_period();
+    for (std::size_t r = 0; r < steps % period; ++r) {
+      for (const auto& stream : pat.keep) coded += stream[r];
+    }
+    bits = coded;
+  } else {
+    len.mother_bits = bits;
+  }
+  len.punctured_bits = bits;
+  return len;
 }
 
 namespace {

@@ -133,14 +133,6 @@ struct OfdmParams {
   /// simulator; the baseband model itself is centre-frequency agnostic.
   double nominal_rf_hz = 0.0;
 
-  // --- execution knobs ---------------------------------------------------
-  /// Worker threads for the per-symbol modulate pipeline (>= 1). This is
-  /// an execution knob, not part of the model surface: it never changes
-  /// the output (threads > 1 is bit-exact with threads == 1), so it is
-  /// excluded from parameter_count()/parameter_distance() and from the
-  /// serialized parameter files.
-  std::size_t threads = 1;
-
   // --- derived conveniences ---------------------------------------------
   double subcarrier_spacing_hz() const {
     return sample_rate / static_cast<double>(fft_size);
@@ -171,6 +163,16 @@ void validate(const OfdmParams& p);
 
 /// Coded bits carried by one OFDM symbol under these parameters.
 std::size_t coded_bits_per_symbol(const OfdmParams& p);
+
+/// Bit-stream lengths through the FEC chain for one payload, before
+/// padding to whole OFDM symbols. The transmitter sizes its frame from
+/// these and the receiver cuts its decoder inputs to them.
+struct ChainLengths {
+  std::size_t rs_out_bits = 0;     ///< after outer coding (RS off: payload)
+  std::size_t mother_bits = 0;     ///< unpunctured inner-code length
+  std::size_t punctured_bits = 0;  ///< after inner coding (off: rs_out)
+};
+ChainLengths chain_lengths(const OfdmParams& p, std::size_t payload_bits);
 
 /// Number of scalar configuration parameters in an OfdmParams (the
 /// "model surface" used by the derivation-effort experiment E3).

@@ -9,7 +9,6 @@
 #include "common/bits.hpp"
 #include "common/error.hpp"
 #include "core/preamble.hpp"
-#include "core/symbol_pipeline.hpp"
 #include "obs/trace.hpp"
 
 namespace ofdm::core {
@@ -18,7 +17,6 @@ struct Transmitter::State {
   OfdmParams params;
   ToneLayout layout;
   std::optional<Modulator> modulator;
-  std::optional<SymbolPipeline> pipeline;  ///< only when params.threads > 1
   std::optional<mapping::Constellation> constellation;
   std::optional<mapping::DmtMapper> dmt;
   std::optional<mapping::DifferentialMapper> diff;
@@ -29,8 +27,7 @@ struct Transmitter::State {
   std::optional<PilotGenerator> pilots;
   std::size_t cbps = 0;
 
-  // Scratch for the batched transmit path; grows once, reused across
-  // bursts.
+  // Scratch for the transmit path; grows once, reused across bursts.
   cvec mapped_all;    ///< whole-stream block map (fast path)
   cvec data_scratch;  ///< per-symbol tone values
 };
@@ -83,10 +80,6 @@ void Transmitter::configure(OfdmParams params) {
   if (p.fec.conv_enabled) s->conv.emplace(p.fec.conv);
   if (p.fec.rs_enabled) s->rs.emplace(p.fec.rs_n, p.fec.rs_k);
   s->pilots.emplace(p.pilots, s->layout.pilot_bins.size());
-  if (p.threads > 1) {
-    s->pipeline.emplace(s->params, s->layout,
-                        s->modulator->tone_scale(), p.threads);
-  }
 
   state_ = std::move(s);  // commit only after everything succeeded
 }
@@ -119,24 +112,8 @@ std::size_t Transmitter::bits_per_symbol() const {
 
 std::size_t Transmitter::coded_length(std::size_t payload_bits) const {
   OFDM_REQUIRE(state_, kUnconfigured);
-  const OfdmParams& p = state_->params;
-  std::size_t bits = payload_bits;
-  if (p.fec.rs_enabled) {
-    const std::size_t bytes = (bits + 7) / 8;
-    const std::size_t blocks = (bytes + p.fec.rs_k - 1) / p.fec.rs_k;
-    bits = std::max<std::size_t>(blocks, 1) * p.fec.rs_n * 8;
-  }
-  if (p.fec.conv_enabled) {
-    const std::size_t steps = bits + p.fec.conv.constraint_length - 1;
-    const auto& pat = state_->params.fec.puncture;
-    const std::size_t period = pat.period();
-    const std::size_t kept = pat.kept_per_period();
-    std::size_t coded = (steps / period) * kept;
-    for (std::size_t r = 0; r < steps % period; ++r) {
-      for (const auto& stream : pat.keep) coded += stream[r];
-    }
-    bits = coded;
-  }
+  const std::size_t bits =
+      chain_lengths(state_->params, payload_bits).punctured_bits;
   // Pad to whole symbols, at least the configured frame length.
   const std::size_t min_syms = state_->params.frame.symbols_per_frame;
   const std::size_t syms =
@@ -297,10 +274,8 @@ void Transmitter::modulate_into(std::span<const std::uint8_t> payload_bits,
     }
   }
 
-  // 3. Payload symbols. Bits -> tone values is inherently sequential
-  // (differential mapping and the pilot PRBS carry state from symbol to
-  // symbol); the assemble+IFFT step is not, and goes through the
-  // SymbolPipeline when threads > 1 — bit-exact with the inline path.
+  // 3. Payload symbols, in order: differential mapping, the pilot PRBS
+  // and the window overlap-add carry state from symbol to symbol.
   //
   // Fixed-constellation configurations with no interleaving have no
   // per-symbol bit machinery at all, so the whole coded stream is
@@ -311,7 +286,14 @@ void Transmitter::modulate_into(std::span<const std::uint8_t> payload_bits,
                          !s.bit_interleaver && !s.cell_interleaver;
   if (block_map) s.constellation->map_into(coded, s.mapped_all);
 
-  auto map_symbol_into = [&](std::size_t sym, cvec& dst) {
+  cvec& mapped = s.data_scratch;
+  for (std::size_t sym = 0; sym < burst.data_symbols; ++sym) {
+    if (block_map) {
+      s.modulator->modulate_symbol(
+          std::span<const cplx>(s.mapped_all).subspan(sym * n_data, n_data),
+          s.pilots->next_symbol(), out);
+      continue;
+    }
     const auto sym_bits = std::span<const std::uint8_t>(coded).subspan(
         sym * s.cbps, s.cbps);
 
@@ -326,53 +308,21 @@ void Transmitter::modulate_into(std::span<const std::uint8_t> payload_bits,
     // Bits -> tone values.
     switch (p.mapping) {
       case MappingKind::kFixed:
-        s.constellation->map_into(mapped_bits, dst);
+        s.constellation->map_into(mapped_bits, mapped);
         break;
       case MappingKind::kDifferential:
-        dst = s.diff->map_symbol(mapped_bits);
+        mapped = s.diff->map_symbol(mapped_bits);
         break;
       case MappingKind::kBitTable:
-        dst = s.dmt->map_symbol(mapped_bits);
+        mapped = s.dmt->map_symbol(mapped_bits);
         break;
     }
 
     // Cell interleaving permutes mapped values across the data tones.
     if (s.cell_interleaver) {
-      dst = s.cell_interleaver->interleave(std::span<const cplx>(dst));
+      mapped = s.cell_interleaver->interleave(std::span<const cplx>(mapped));
     }
-  };
-
-  if (s.pipeline && burst.data_symbols > 1) {
-    std::vector<SymbolPipeline::Symbol> jobs(burst.data_symbols);
-    for (std::size_t sym = 0; sym < burst.data_symbols; ++sym) {
-      if (block_map) {
-        jobs[sym].data.assign(
-            s.mapped_all.begin() +
-                static_cast<std::ptrdiff_t>(sym * n_data),
-            s.mapped_all.begin() +
-                static_cast<std::ptrdiff_t>((sym + 1) * n_data));
-      } else {
-        map_symbol_into(sym, jobs[sym].data);
-      }
-      jobs[sym].pilots = s.pilots->next_symbol();
-    }
-    s.pipeline->transform(jobs);
-    for (std::size_t sym = 0; sym < burst.data_symbols; ++sym) {
-      s.modulator->emit_body(jobs[sym].body, out);
-    }
-  } else {
-    for (std::size_t sym = 0; sym < burst.data_symbols; ++sym) {
-      std::span<const cplx> data_values;
-      if (block_map) {
-        data_values = std::span<const cplx>(s.mapped_all)
-                          .subspan(sym * n_data, n_data);
-      } else {
-        map_symbol_into(sym, s.data_scratch);
-        data_values = s.data_scratch;
-      }
-      const cvec pilot_values = s.pilots->next_symbol();
-      s.modulator->modulate_symbol(data_values, pilot_values, out);
-    }
+    s.modulator->modulate_symbol(mapped, s.pilots->next_symbol(), out);
   }
 
   s.modulator->flush(out);

@@ -80,7 +80,7 @@ RxDescriptor describe_receiver(const OfdmParams& params) {
       d.equalizer = "none";
       break;
     case core::PreambleKind::kWlan:
-      d.sync = "stf-plateau";
+      d.sync = "stf-ltf";
       d.equalizer = "ltf-average";
       break;
     case core::PreambleKind::kPhaseReference:

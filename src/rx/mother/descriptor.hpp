@@ -11,7 +11,7 @@
 namespace ofdm::rx {
 
 struct RxDescriptor {
-  std::string sync;         ///< "stf-plateau" | "cp-correlation" | "none"
+  std::string sync;         ///< "stf-ltf" | "cp-correlation" | "none"
   std::string equalizer;    ///< "ltf-average" | "phase-reference" | "none"
   std::string demapper;     ///< constellation / differential / bit-table
   std::string interleaver;  ///< "wlan" | "block RxC" | "cell" | "none"

@@ -1,6 +1,7 @@
 #include "rx/mother/mother_rx.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "coding/lfsr.hpp"
@@ -28,46 +29,6 @@ std::optional<RxMode> rx_mode_from_name(std::string_view name) {
   if (name == "uncoded") return RxMode::kUncoded;
   return std::nullopt;
 }
-
-namespace {
-
-// Coded-chain length bookkeeping mirroring Transmitter::coded_length().
-struct ChainLengths {
-  std::size_t scrambled_bits;   ///< payload length (scrambling preserves it)
-  std::size_t rs_out_bits;      ///< after outer coding (== input if no RS)
-  std::size_t punctured_bits;   ///< after inner coding (== rs_out if none)
-  std::size_t mother_bits;      ///< unpunctured inner-code length
-};
-
-ChainLengths chain_lengths(const OfdmParams& p, std::size_t payload_bits) {
-  ChainLengths len{};
-  len.scrambled_bits = payload_bits;
-  std::size_t bits = payload_bits;
-  if (p.fec.rs_enabled) {
-    const std::size_t bytes = (bits + 7) / 8;
-    const std::size_t blocks =
-        std::max<std::size_t>((bytes + p.fec.rs_k - 1) / p.fec.rs_k, 1);
-    bits = blocks * p.fec.rs_n * 8;
-  }
-  len.rs_out_bits = bits;
-  if (p.fec.conv_enabled) {
-    const std::size_t steps = bits + p.fec.conv.constraint_length - 1;
-    len.mother_bits = steps * p.fec.conv.generators.size();
-    const auto& pat = p.fec.puncture;
-    const std::size_t period = pat.period();
-    std::size_t coded = (steps / period) * pat.kept_per_period();
-    for (std::size_t r = 0; r < steps % period; ++r) {
-      for (const auto& stream : pat.keep) coded += stream[r];
-    }
-    bits = coded;
-  } else {
-    len.mother_bits = bits;
-  }
-  len.punctured_bits = bits;
-  return len;
-}
-
-}  // namespace
 
 MotherReceiver::MotherReceiver(core::OfdmParams params, RxOptions options)
     : params_(std::move(params)), options_(options) {
@@ -119,6 +80,11 @@ MotherReceiver::MotherReceiver(core::OfdmParams params, RxOptions options)
       break;
     case PreambleKind::kWlan:
       preamble_len_ = 320;
+      // Fine-timing template: the LTF time symbol, conjugated for the
+      // cross-correlation in synchronize(). Its scale does not move the
+      // correlation peak.
+      ltf_ref_ = fft_.inverse(core::wlan_ltf_bins());
+      for (cplx& v : ltf_ref_) v = std::conj(v);
       break;
     case PreambleKind::kPhaseReference:
       preamble_len_ = p.symbol_len();
@@ -268,11 +234,9 @@ cvec MotherReceiver::estimate_equalizer(std::span<const cplx> burst) const {
       const std::size_t t1 = p.frame.null_samples + 160 + 32;
       OFDM_REQUIRE_DIM(t1 + 128 <= burst.size(),
                        "estimate_equalizer: burst too short for LTF");
-      // Cheap per-call plan: the 64-point tables are shared through the
-      // process-wide plan cache with every other WLAN-geometry user.
-      dsp::Fft fft64(64);
-      const cvec r1 = fft64.forward(burst.subspan(t1, 64));
-      const cvec r2 = fft64.forward(burst.subspan(t1 + 64, 64));
+      // core::validate guarantees the 64-point geometry, so fft_ fits.
+      const cvec r1 = fft_.forward(burst.subspan(t1, 64));
+      const cvec r2 = fft_.forward(burst.subspan(t1 + 64, 64));
       const cvec known = core::wlan_ltf_bins();
       for (std::size_t bin = 0; bin < 64; ++bin) {
         const cplx avg = (r1[bin] + r2[bin]) / (2.0 * scale_);
@@ -308,17 +272,59 @@ SyncReport MotherReceiver::synchronize(std::span<const cplx> stream,
   const OfdmParams& p = params_;
   SyncReport report;
   if (p.frame.preamble == PreambleKind::kWlan) {
-    // Schmidl&Cox plateau on the STF's 16-sample periodicity.
+    // Schmidl&Cox plateau on the STF's 16-sample periodicity, then the
+    // coarse CFO from its phase (+-625 kHz range).
     const auto plateau = detect_stf_plateau(stream);
     if (!plateau) return report;  // no plateau: metric stays 0
     const std::size_t stf = plateau->start;
+    // T1 nominally starts 192 samples after the STF start; search +-24
+    // around it. The window covers every candidate T1 plus T2.
+    constexpr std::size_t kT1 = 192;
+    constexpr std::size_t kSearch = 24;
+    constexpr std::size_t kLtf = 64;
+    constexpr std::size_t kWindow = 2 * kSearch + 2 * kLtf;
+    const std::size_t lo = stf + kT1 - kSearch;
+    if (lo + kWindow > stream.size()) return report;  // LTF cut off
+    const double coarse = estimate_cfo(stream, stf + 16, 16, 96, sample_rate);
+
+    // Coarse-correct only the window, then fine timing by LTF
+    // cross-correlation. Under multipath the strongest peak can be a
+    // delayed path, which would push the FFT window past the CP, so
+    // lock on the first candidate within 6 dB of the peak: above the
+    // LTF's cyclic-autocorrelation sidelobes (~-14 dB).
+    std::array<cplx, kWindow> win;
+    derotate(stream.subspan(lo, kWindow), coarse, sample_rate, win);
+    // Spelled out in real arithmetic: std::complex's multiply adds a
+    // NaN-recovery branch that made this loop the larger part of the
+    // WLAN sync time.
+    std::array<double, 2 * kSearch + 1> power;
+    for (std::size_t d = 0; d < power.size(); ++d) {
+      double re = 0.0;
+      double im = 0.0;
+      for (std::size_t i = 0; i < kLtf; ++i) {
+        const cplx a = win[d + i];
+        const cplx b = ltf_ref_[i];
+        re += a.real() * b.real() - a.imag() * b.imag();
+        im += a.real() * b.imag() + a.imag() * b.real();
+      }
+      power[d] = re * re + im * im;
+    }
+    const double peak = *std::max_element(power.begin(), power.end());
+    std::size_t best = 0;
+    while (power[best] < 0.25 * peak) ++best;
+    // A stream that starts inside the STF puts the burst start before
+    // sample 0: no lock rather than a wrapped offset.
+    const std::size_t t1 = lo + best;
+    if (t1 < kT1 + p.frame.null_samples) return report;
+
+    // Fine CFO from the two repeated long symbols (+-156 kHz range).
+    const double fine =
+        estimate_cfo(std::span<const cplx>(win), best, kLtf, kLtf,
+                     sample_rate);
     report.used_preamble = true;
     report.metric = plateau->metric;
-    report.offset =
-        stf >= p.frame.null_samples ? stf - p.frame.null_samples : 0;
-    if (stf + 16 + 96 + 16 <= stream.size()) {
-      report.cfo_hz = estimate_cfo(stream, stf + 16, 16, 96, sample_rate);
-    }
+    report.offset = t1 - kT1 - p.frame.null_samples;
+    report.cfo_hz = coarse + fine;
     return report;
   }
   // Everywhere else: cyclic-prefix correlation. The first strict
@@ -358,7 +364,7 @@ std::vector<cvec> MotherReceiver::extract_data_tones(
 MotherReceiver::Result MotherReceiver::demodulate(
     std::span<const cplx> burst, std::size_t payload_bits) const {
   const OfdmParams& p = params_;
-  const ChainLengths len = chain_lengths(p, payload_bits);
+  const core::ChainLengths len = core::chain_lengths(p, payload_bits);
   const std::size_t min_syms = p.frame.symbols_per_frame;
   const std::size_t n_symbols = std::max(
       min_syms, (len.punctured_bits + cbps_ - 1) / cbps_);
@@ -473,7 +479,7 @@ MotherReceiver::Result MotherReceiver::demodulate(
     }
     bits = bytes_to_bits_msb(message);
   }
-  bits.resize(len.scrambled_bits);
+  bits.resize(payload_bits);
 
   // 4. Descramble.
   if (p.scrambler.enabled) {

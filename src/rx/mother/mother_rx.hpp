@@ -32,12 +32,13 @@ struct RxOptions {
   bool pilot_tracking = false;
 };
 
-/// Timing/CFO acquisition report from synchronize().
+/// Timing/CFO acquisition report from synchronize(). metric == 0 means
+/// no lock.
 struct SyncReport {
-  std::size_t offset = 0;    ///< estimated start of the burst's payload ramp
+  std::size_t offset = 0;    ///< estimated start of the burst
   double metric = 0.0;       ///< normalized correlation peak in [0, 1]
-  double cfo_hz = 0.0;       ///< fractional CFO estimate
-  bool used_preamble = false;  ///< STF plateau (true) vs CP correlation
+  double cfo_hz = 0.0;       ///< CFO estimate (WLAN: coarse + fine)
+  bool used_preamble = false;  ///< 802.11a preamble (true) vs CP correlation
 };
 
 class MotherReceiver {
@@ -75,11 +76,16 @@ class MotherReceiver {
   /// coefficients; does not install them.
   cvec estimate_equalizer(std::span<const cplx> burst) const;
 
-  /// Acquire burst timing (and a fractional CFO estimate) from a sample
-  /// stream: Schmidl&Cox STF plateau for WLAN-preamble standards, CP
-  /// correlation everywhere else. The returned offset points at the
-  /// start of the burst (null samples included), suitable for
-  /// `stream.subspan(offset)` into demodulate().
+  /// Acquire burst timing and a CFO estimate from a sample stream. On
+  /// WLAN-preamble standards: Schmidl&Cox STF plateau and coarse CFO,
+  /// then LTF cross-correlation timing and fine CFO (no lock if the
+  /// stream holds no whole LTF or starts inside the STF). Everywhere
+  /// else: CP correlation with a fractional CFO. The returned offset
+  /// points at the start of the burst (null samples included).
+  ///
+  /// Full packet reception: synchronize(), derotate() the stream from
+  /// `offset` by `cfo_hz`, install estimate_equalizer() of the result,
+  /// set_pilot_tracking(true), then demodulate().
   SyncReport synchronize(std::span<const cplx> stream,
                          double sample_rate) const;
 
@@ -127,6 +133,7 @@ class MotherReceiver {
   std::size_t cbps_ = 0;
   std::size_t preamble_len_ = 0;
   cvec equalizer_;  // empty = identity
+  cvec ltf_ref_;    // conj(LTF time symbol); WLAN preamble only
 };
 
 }  // namespace ofdm::rx

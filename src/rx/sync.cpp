@@ -85,4 +85,18 @@ double estimate_cfo(std::span<const cplx> samples, std::size_t offset,
          (kTwoPi * static_cast<double>(period));
 }
 
+void derotate(std::span<const cplx> in, double cfo_hz, double sample_rate,
+              std::span<cplx> out) {
+  OFDM_REQUIRE_DIM(out.size() == in.size(),
+                   "derotate: output length must match input");
+  const double step = -kTwoPi * cfo_hz / sample_rate;
+  double phase = 0.0;
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    out[i] = in[i] * cplx{std::cos(phase), std::sin(phase)};
+    phase += step;
+    if (phase > kPi) phase -= kTwoPi;
+    if (phase < -kPi) phase += kTwoPi;
+  }
+}
+
 }  // namespace ofdm::rx

@@ -1,6 +1,7 @@
 // Burst synchronization utilities: cyclic-prefix correlation for symbol
-// timing and fractional carrier-frequency-offset estimation, plus the
-// Schmidl&Cox-style plateau metric for the 802.11a short training field.
+// timing and fractional carrier-frequency-offset estimation, the
+// Schmidl&Cox-style plateau metric for the 802.11a short training field,
+// and CFO derotation.
 #pragma once
 
 #include <cstddef>
@@ -42,5 +43,10 @@ std::optional<StfPlateau> detect_stf_plateau(std::span<const cplx> samples);
 double estimate_cfo(std::span<const cplx> samples, std::size_t offset,
                     std::size_t period, std::size_t span_len,
                     double sample_rate);
+
+/// Undo a carrier frequency offset: out[i] = in[i] * exp(-j*2*pi*cfo*i/fs),
+/// phase zero at in[0]. `out` must be as long as `in`; in place allowed.
+void derotate(std::span<const cplx> in, double cfo_hz, double sample_rate,
+              std::span<cplx> out);
 
 }  // namespace ofdm::rx

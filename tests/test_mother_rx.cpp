@@ -1,8 +1,10 @@
 // RX Mother Model tests: one parameter-driven receiver family covering
 // all ten standards. Coded and uncoded (pre-FEC) loopbacks per
-// standard, the +fec reference-FEC overlay, timing acquisition, the
-// soft-vs-hard decoding ordering on AWGN, per-standard receiver
-// descriptors, and rejection of an invalid inner code.
+// standard, the +fec reference-FEC overlay, timing acquisition
+// (including streams cut inside the 802.11a preamble), the soft-vs-hard
+// decoding ordering on AWGN, per-standard receiver descriptors, and
+// rejection of invalid configurations. Full 802.11a packet reception
+// with impairments is in test_wlan_rx.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +14,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/profiles.hpp"
+#include "core/tone_map.hpp"
 #include "core/transmitter.hpp"
 #include "rf/chain.hpp"
 #include "rf/channel.hpp"
@@ -152,7 +155,7 @@ TEST(ReferenceFecOverlay, AlreadyCodedProfilesAreUnchanged) {
 // ---------------------------------------------------------------------
 // Timing acquisition.
 
-TEST(MotherRxSync, WlanStfPlateauRecoversBurstStart) {
+TEST(MotherRxSync, WlanPreambleRecoversBurstStart) {
   const OfdmParams params = core::profile_for(Standard::kWlan80211a);
   core::Transmitter tx(params);
   rx::MotherReceiver rx(params);
@@ -169,8 +172,7 @@ TEST(MotherRxSync, WlanStfPlateauRecoversBurstStart) {
   const auto rep = rx.synchronize(stream, params.sample_rate);
   EXPECT_TRUE(rep.used_preamble);
   EXPECT_GE(rep.metric, 0.7);
-  // Plateau-edge detection is exact to within a few samples on a clean
-  // channel; the LTF-trained equalizer absorbs that residual, so the
+  // LTF fine timing lands on the burst start on a clean channel, so the
   // recovered offset must decode losslessly.
   ASSERT_NEAR(static_cast<double>(rep.offset),
               static_cast<double>(lead), 8.0);
@@ -196,6 +198,27 @@ TEST(MotherRxSync, CpCorrelationLocksOnCleanBurst) {
   // A clean, unshifted burst must lock on a symbol boundary at (or
   // within the windowing ramp of) the burst start.
   EXPECT_LE(rep.offset, params.cp_len);
+}
+
+// A stream whose first sample lies inside the STF implies a burst start
+// before sample 0: no lock, never a wrapped offset.
+TEST(MotherRxSync, StreamStartingInsideStfDoesNotLock) {
+  const OfdmParams params = core::profile_wlan_80211a();
+  core::Transmitter tx(params);
+  rx::MotherReceiver rx(params);
+  Rng rng(7);
+  const auto burst = tx.modulate(rng.bits(tx.recommended_payload_bits()));
+  const auto at_start = rx.synchronize(burst.samples, params.sample_rate);
+  EXPECT_GT(at_start.metric, 0.0);
+  EXPECT_EQ(at_start.offset, 0u);
+  for (std::size_t cut = 1; cut <= 24; ++cut) {
+    // A buffer of its own, so ASan sees any read before its first sample.
+    const cvec stream(burst.samples.begin() + static_cast<std::ptrdiff_t>(cut),
+                      burst.samples.end());
+    const auto rep = rx.synchronize(stream, params.sample_rate);
+    EXPECT_EQ(rep.metric, 0.0) << "cut " << cut;
+    EXPECT_EQ(rep.offset, 0u) << "cut " << cut;
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -250,6 +273,21 @@ TEST(MotherRxConfig, RejectsOutOfRangeConstraintLength) {
   OfdmParams params = core::profile_wlan_80211a(core::WlanRate::k36);
   params.fec.conv.constraint_length = 20;
   EXPECT_THROW(rx::MotherReceiver{params}, ConfigError);
+}
+
+// The 802.11a preamble is a 64-point structure; the LTF channel estimate
+// writes one coefficient per bin of it.
+TEST(MotherRxConfig, RejectsWlanPreambleOffTheSixtyFourPointGeometry) {
+  OfdmParams params = core::profile_wlan_80211a();
+  params.fft_size = 32;
+  params.cp_len = 8;
+  params.tone_map = core::null_tone_map(32);
+  core::fill_data_range(params.tone_map, -8, 8);
+  params.pilots.base_values.clear();
+  params.interleaver.kind = core::InterleaverKind::kNone;
+  EXPECT_THROW(rx::MotherReceiver{params}, ConfigError);
+  params.frame.preamble = core::PreambleKind::kNone;
+  EXPECT_NO_THROW(rx::MotherReceiver{params});
 }
 
 // ---------------------------------------------------------------------

@@ -187,6 +187,24 @@ std::string wait_terminal(LineClient& client, const std::string& id,
   }
 }
 
+/// Polls until the job leaves the queue; returns the first state that
+/// is not "queued" ("running" or terminal), or "timeout".
+std::string wait_dequeued(LineClient& client, const std::string& id,
+                          double timeout_s = 30.0) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::duration<double>(timeout_s);
+  for (;;) {
+    Json req = op("status");
+    req.set("id", id);
+    const Json reply = client.request(req);
+    if (!reply.bool_or("ok", false)) return reply.str_or("error", "?");
+    const std::string state = reply.str_or("state", "");
+    if (state != "queued") return state;
+    if (std::chrono::steady_clock::now() > deadline) return "timeout";
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+}
+
 TEST(NetServer, PingStatsAndUnknownOp) {
   Server server(quick_config());
   server.start();
@@ -521,10 +539,14 @@ TEST(NetServer, QueueFullBackpressureAndQuota) {
   server.start();
   LineClient client = connect_to(server);
 
-  // #1 occupies the single executor, #2 the single queue slot.
+  // #1 occupies the single executor, #2 the single queue slot. The
+  // executor dequeues #1 on its own thread, so wait for that before
+  // #2 is submitted; otherwise #2 can find the slot still taken.
   Json req = op("submit");
   req.set("deck", slow_deck(1));
-  ASSERT_TRUE(client.request(req).bool_or("ok", false));
+  const Json first = client.request(req);
+  ASSERT_TRUE(first.bool_or("ok", false));
+  ASSERT_EQ(wait_dequeued(client, first.str_or("id", "")), "running");
   req = op("submit");
   req.set("deck", slow_deck(2));
   ASSERT_TRUE(client.request(req).bool_or("ok", false));

@@ -112,6 +112,15 @@ TEST(Validate, RejectsBadBlockInterleaverRows) {
   EXPECT_THROW(validate(p), ConfigError);
 }
 
+TEST(Validate, RejectsWlanPreambleOffTheSixtyFourPointGeometry) {
+  // The 802.11a training fields are 64-point symbols; the receiver's
+  // channel estimate writes one coefficient per bin of them.
+  OfdmParams p = minimal_params();  // 16-point FFT
+  p.frame.preamble = PreambleKind::kWlan;
+  EXPECT_THROW(validate(p), ConfigError);
+  EXPECT_NO_THROW(validate(profile_wlan_80211a()));
+}
+
 TEST(CodedBits, PerSymbolArithmetic) {
   OfdmParams p = minimal_params();  // 8 data tones
   p.scheme = mapping::Scheme::kQam16;

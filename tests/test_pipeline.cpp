@@ -1,18 +1,18 @@
-// The parallel symbol pipeline and the FFT fast paths it leans on.
+// The transmitter's per-symbol path and the inverse-FFT fast paths it
+// leans on.
 //
-// The tentpole guarantee is bit-exactness: a Transmitter configured with
-// threads > 1 must produce *identical* samples to the single-threaded
-// path for every family standard, because the pipeline runs the exact
-// same assemble+IFFT code on private per-worker plans. The Hermitian
-// inverse fast path and the in-place transforms are checked against the
-// reference DFT the same way the seed FFT tests are.
+// Every OFDM symbol is assembled and inverse-transformed by the
+// sequential loop in Transmitter::modulate_into, which reuses its
+// scratch across symbols and bursts: a reused transmitter must produce
+// *identical* samples to a fresh one for every family standard. The
+// Hermitian inverse fast path, the in-place transforms and the fused
+// output scale are checked against the reference DFT the same way the
+// FFT unit tests are.
 #include <gtest/gtest.h>
 
 #include <random>
 
-#include "common/error.hpp"
 #include "core/profiles.hpp"
-#include "core/symbol_pipeline.hpp"
 #include "core/transmitter.hpp"
 #include "dsp/fft.hpp"
 
@@ -26,55 +26,25 @@ std::vector<std::uint8_t> random_bits(std::size_t n, std::uint32_t seed) {
   return bits;
 }
 
-TEST(SymbolPipeline, ThreadedModulateIsBitExactAcrossFamily) {
+TEST(SymbolPath, ReusedTransmitterMatchesFreshOneAcrossFamily) {
+  // Stale scratch from an earlier burst would show up on the second and
+  // later bursts, not the first.
   for (Standard std_id : kStandardFamily) {
-    OfdmParams p = profile_for(std_id);
-    Transmitter tx1(p);
-    const auto bits = random_bits(tx1.recommended_payload_bits(), 42);
-    const Transmitter::Burst ref = tx1.modulate(bits);
-
-    for (std::size_t threads : {2, 3}) {
-      p.threads = threads;
-      Transmitter txn(p);
-      const Transmitter::Burst got = txn.modulate(bits);
-      ASSERT_EQ(ref.samples.size(), got.samples.size())
-          << standard_name(std_id) << " threads=" << threads;
-      for (std::size_t i = 0; i < ref.samples.size(); ++i) {
-        ASSERT_EQ(ref.samples[i], got.samples[i])
-            << standard_name(std_id) << " threads=" << threads
-            << " sample " << i;
-      }
+    const OfdmParams p = profile_for(std_id);
+    Transmitter reused(p);
+    const std::size_t n = reused.recommended_payload_bits();
+    (void)reused.modulate(random_bits(n, 41));
+    const auto bits = random_bits(n, 42);
+    const Transmitter::Burst got = reused.modulate(bits);
+    Transmitter fresh(p);
+    const Transmitter::Burst ref = fresh.modulate(bits);
+    ASSERT_EQ(ref.samples.size(), got.samples.size())
+        << standard_name(std_id);
+    for (std::size_t i = 0; i < ref.samples.size(); ++i) {
+      ASSERT_EQ(ref.samples[i], got.samples[i])
+          << standard_name(std_id) << " sample " << i;
     }
   }
-}
-
-TEST(SymbolPipeline, RepeatedBurstsStayBitExact) {
-  // The pool is reused across bursts; stale-batch bugs would show up on
-  // the second and later transforms, not the first.
-  OfdmParams p = profile_adsl();
-  Transmitter tx1(p);
-  p.threads = 4;
-  Transmitter tx4(p);
-  for (std::uint32_t seed = 1; seed <= 3; ++seed) {
-    const auto bits = random_bits(tx1.recommended_payload_bits(), seed);
-    const auto a = tx1.modulate(bits);
-    const auto b = tx4.modulate(bits);
-    ASSERT_EQ(a.samples.size(), b.samples.size()) << "burst " << seed;
-    for (std::size_t i = 0; i < a.samples.size(); ++i) {
-      ASSERT_EQ(a.samples[i], b.samples[i])
-          << "burst " << seed << " sample " << i;
-    }
-  }
-}
-
-TEST(SymbolPipeline, ThreadsKnobIsNotAModelParameter) {
-  OfdmParams a = profile_adsl();
-  OfdmParams b = a;
-  b.threads = 8;
-  EXPECT_EQ(parameter_count(a), parameter_count(b));
-  EXPECT_EQ(parameter_distance(a, b), 0u);
-  b.threads = 0;
-  EXPECT_THROW(validate(b), ConfigError);
 }
 
 cvec random_hermitian_spectrum(std::size_t n, std::uint32_t seed) {
@@ -169,33 +139,6 @@ TEST(Ifft, FusedScaleMatchesSeparateScaling) {
     fft.inverse(x, plain);
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_EQ(fused[i], plain[i] * 3.25) << n << ":" << i;
-    }
-  }
-}
-
-TEST(SymbolPipeline, TransformMatchesModulator) {
-  const OfdmParams p = profile_adsl();
-  const ToneLayout layout = make_tone_layout(p);
-  Modulator mod(p, layout);
-  SymbolPipeline pipe(p, layout, mod.tone_scale(), 2);
-
-  std::mt19937 rng(17);
-  std::uniform_real_distribution<double> dist(-1.0, 1.0);
-  std::vector<SymbolPipeline::Symbol> jobs(5);
-  for (auto& job : jobs) {
-    job.data.resize(layout.data_bins.size());
-    for (auto& v : job.data) v = {dist(rng), dist(rng)};
-    job.pilots.resize(layout.pilot_bins.size());
-    for (auto& v : job.pilots) v = {dist(rng), dist(rng)};
-  }
-  pipe.transform(jobs);
-
-  for (const auto& job : jobs) {
-    cvec body;
-    mod.transform(mod.assemble(job.data, job.pilots), body);
-    ASSERT_EQ(body.size(), job.body.size());
-    for (std::size_t i = 0; i < body.size(); ++i) {
-      ASSERT_EQ(body[i], job.body[i]);
     }
   }
 }
