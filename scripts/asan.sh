@@ -19,6 +19,9 @@
 # the ConvCode validation that keeps malformed codes out of it.
 # test_mother_rx runs the receiver's acquisition windows on streams cut
 # inside the preamble and the geometry checks that size its equalizer.
+# test_transmitter, test_pipeline and test_property_random_configs push
+# random OfdmParams through the shared core::Datapath, the transmitter
+# and the receiver, whose per-standard tables are indexed by geometry.
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -30,7 +33,8 @@ cmake -B "${build}" -S "${repo}" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
 cmake --build "${build}" -j \
   --target test_guard test_fault test_snapshot test_rf test_channels \
-  test_state_fuzz test_net test_convolutional test_mother_rx
+  test_state_fuzz test_net test_convolutional test_mother_rx \
+  test_transmitter test_pipeline test_property_random_configs
 ctest --test-dir "${build}" \
-  -R '^(test_guard|test_fault|test_snapshot|test_rf|test_channels|test_state_fuzz|test_net|test_convolutional|test_mother_rx)$' \
+  -R '^(test_guard|test_fault|test_snapshot|test_rf|test_channels|test_state_fuzz|test_net|test_convolutional|test_mother_rx|test_transmitter|test_pipeline|test_property_random_configs)$' \
   --output-on-failure "$@"

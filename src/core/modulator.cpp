@@ -1,7 +1,6 @@
 #include "core/modulator.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/error.hpp"
 #include "dsp/window.hpp"
@@ -36,22 +35,15 @@ void assemble_spectrum(const OfdmParams& p, const ToneLayout& layout,
 
 }  // namespace
 
-Modulator::Modulator(const OfdmParams& params, const ToneLayout& layout)
+Modulator::Modulator(const OfdmParams& params, const Datapath& datapath)
     : params_(params),
-      layout_(layout),
+      layout_(datapath.layout),
       fft_(params.fft_size),
+      scale_(datapath.tone_scale),
       ramp_(params.window_ramp > 0
                 ? dsp::raised_cosine_ramp(params.window_ramp)
-                : rvec{}) {
-  // Unit average output power: the 1/N-scaled IFFT of a spectrum with
-  // n_used unit-power tones has average power n_used/N^2.
-  std::size_t used = layout_.used_tones();
-  if (params_.hermitian) used *= 2;  // mirrored half carries equal power
-  OFDM_REQUIRE(used > 0, "Modulator: no used tones");
-  scale_ = static_cast<double>(params_.fft_size) /
-           std::sqrt(static_cast<double>(used));
-  body_.resize(params_.fft_size);
-}
+                : rvec{}),
+      body_(params.fft_size) {}
 
 cvec Modulator::assemble(std::span<const cplx> data_values,
                          std::span<const cplx> pilot_values) const {

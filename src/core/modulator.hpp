@@ -13,6 +13,7 @@
 
 #include <span>
 
+#include "core/datapath.hpp"
 #include "core/params.hpp"
 #include "dsp/fft.hpp"
 
@@ -20,10 +21,9 @@ namespace ofdm::core {
 
 class Modulator {
  public:
-  Modulator(const OfdmParams& params, const ToneLayout& layout);
-
-  /// Scale factor applied to the raw (1/N-normalized) IFFT output.
-  double tone_scale() const { return scale_; }
+  /// Reads the tone layout and output scale from `datapath`; both
+  /// arguments must outlive the modulator.
+  Modulator(const OfdmParams& params, const Datapath& datapath);
 
   /// Build the full FFT-size frequency vector from data and pilot tone
   /// values (ascending logical-frequency order each). Applies Hermitian

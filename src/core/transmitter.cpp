@@ -2,34 +2,38 @@
 
 #include <algorithm>
 
-#include "coding/interleaver.hpp"
+#include "coding/convolutional.hpp"
 #include "coding/lfsr.hpp"
-#include "coding/reed_solomon.hpp"
-#include "coding/viterbi.hpp"
 #include "common/bits.hpp"
 #include "common/error.hpp"
-#include "core/preamble.hpp"
+#include "core/datapath.hpp"
+#include "core/modulator.hpp"
+#include "core/pilots.hpp"
+#include "mapping/differential.hpp"
 #include "obs/trace.hpp"
 
 namespace ofdm::core {
 
+// The shared datapath plus the transmit-only stages.
 struct Transmitter::State {
-  OfdmParams params;
-  ToneLayout layout;
-  std::optional<Modulator> modulator;
-  std::optional<mapping::Constellation> constellation;
-  std::optional<mapping::DmtMapper> dmt;
-  std::optional<mapping::DifferentialMapper> diff;
-  std::optional<coding::PermutationInterleaver> bit_interleaver;
-  std::optional<coding::PermutationInterleaver> cell_interleaver;
-  std::optional<coding::ConvEncoder> conv;
-  std::optional<coding::ReedSolomon> rs;
-  std::optional<PilotGenerator> pilots;
-  std::size_t cbps = 0;
+  explicit State(OfdmParams p)
+      : params(std::move(p)),
+        dp(params),
+        modulator(params, dp),
+        pilots(params.pilots, dp.layout.pilot_bins.size()) {
+    if (params.mapping == MappingKind::kDifferential) {
+      diff.emplace(params.diff_kind, dp.layout.data_bins.size());
+    }
+    if (params.fec.conv_enabled) conv.emplace(params.fec.conv);
+  }
 
-  // Scratch for the transmit path; grows once, reused across bursts.
-  cvec mapped_all;    ///< whole-stream block map (fast path)
-  cvec data_scratch;  ///< per-symbol tone values
+  OfdmParams params;
+  Datapath dp;
+  Modulator modulator;
+  PilotGenerator pilots;
+  std::optional<mapping::DifferentialMapper> diff;
+  std::optional<coding::ConvEncoder> conv;
+  cvec data_scratch;  ///< per-symbol tone values, reused across bursts
 };
 
 Transmitter::Transmitter() = default;
@@ -40,48 +44,8 @@ Transmitter& Transmitter::operator=(Transmitter&&) noexcept = default;
 Transmitter::Transmitter(OfdmParams params) { configure(std::move(params)); }
 
 void Transmitter::configure(OfdmParams params) {
-  validate(params);
-  auto s = std::make_unique<State>();
-  s->params = std::move(params);
-  const OfdmParams& p = s->params;
-  s->layout = make_tone_layout(p);
-  s->modulator.emplace(s->params, s->layout);
-  s->cbps = coded_bits_per_symbol(p);
-
-  switch (p.mapping) {
-    case MappingKind::kFixed:
-      s->constellation = mapping::Constellation::make(p.scheme);
-      break;
-    case MappingKind::kDifferential:
-      s->diff.emplace(p.diff_kind, s->layout.data_bins.size());
-      break;
-    case MappingKind::kBitTable:
-      s->dmt.emplace(p.bit_table);
-      break;
-  }
-
-  switch (p.interleaver.kind) {
-    case InterleaverKind::kNone:
-      break;
-    case InterleaverKind::kWlan:
-      s->bit_interleaver = coding::make_wlan_interleaver(
-          s->cbps, mapping::bits_per_symbol(p.scheme));
-      break;
-    case InterleaverKind::kBlock:
-      s->bit_interleaver = coding::make_block_interleaver(
-          p.interleaver.rows, s->cbps / p.interleaver.rows);
-      break;
-    case InterleaverKind::kCell:
-      s->cell_interleaver = coding::make_random_interleaver(
-          s->layout.data_bins.size(), p.interleaver.seed);
-      break;
-  }
-
-  if (p.fec.conv_enabled) s->conv.emplace(p.fec.conv);
-  if (p.fec.rs_enabled) s->rs.emplace(p.fec.rs_n, p.fec.rs_k);
-  s->pilots.emplace(p.pilots, s->layout.pilot_bins.size());
-
-  state_ = std::move(s);  // commit only after everything succeeded
+  // Commit only after everything succeeded.
+  state_ = std::make_unique<State>(std::move(params));
 }
 
 bool Transmitter::configured() const { return state_ != nullptr; }
@@ -97,17 +61,17 @@ const OfdmParams& Transmitter::params() const {
 
 const ToneLayout& Transmitter::layout() const {
   OFDM_REQUIRE(state_, kUnconfigured);
-  return state_->layout;
+  return state_->dp.layout;
 }
 
 double Transmitter::tone_scale() const {
   OFDM_REQUIRE(state_, kUnconfigured);
-  return state_->modulator->tone_scale();
+  return state_->dp.tone_scale;
 }
 
 std::size_t Transmitter::bits_per_symbol() const {
   OFDM_REQUIRE(state_, kUnconfigured);
-  return state_->cbps;
+  return state_->dp.cbps;
 }
 
 std::size_t Transmitter::coded_length(std::size_t payload_bits) const {
@@ -115,16 +79,16 @@ std::size_t Transmitter::coded_length(std::size_t payload_bits) const {
   const std::size_t bits =
       chain_lengths(state_->params, payload_bits).punctured_bits;
   // Pad to whole symbols, at least the configured frame length.
+  const std::size_t cbps = state_->dp.cbps;
   const std::size_t min_syms = state_->params.frame.symbols_per_frame;
-  const std::size_t syms =
-      std::max(min_syms, (bits + state_->cbps - 1) / state_->cbps);
-  return syms * state_->cbps;
+  const std::size_t syms = std::max(min_syms, (bits + cbps - 1) / cbps);
+  return syms * cbps;
 }
 
 std::size_t Transmitter::recommended_payload_bits() const {
   OFDM_REQUIRE(state_, kUnconfigured);
   const std::size_t capacity =
-      state_->params.frame.symbols_per_frame * state_->cbps;
+      state_->params.frame.symbols_per_frame * state_->dp.cbps;
   // coded_length() is monotone in the payload size; find the largest
   // payload that still fits the configured frame.
   std::size_t lo = 0;
@@ -160,10 +124,11 @@ bitvec Transmitter::encode_payload(
   // deterministic.
   coding::Lfsr filler(15, (std::uint64_t{1} << 14) | 1u, 0x2A2A);
 
-  if (state_->rs) {
+  const std::optional<coding::ReedSolomon>& rs = state_->dp.rs;
+  if (rs) {
     while (bits.size() % 8 != 0) bits.push_back(filler.step());
     bytevec bytes = bits_to_bytes_msb(bits);
-    const std::size_t k = state_->rs->k();
+    const std::size_t k = rs->k();
     const std::size_t blocks =
         std::max<std::size_t>((bytes.size() + k - 1) / k, 1);
     while (bytes.size() < blocks * k) {
@@ -174,9 +139,9 @@ bitvec Transmitter::encode_payload(
       bytes.push_back(b);
     }
     bytevec coded_bytes;
-    coded_bytes.reserve(bytes.size() / k * state_->rs->n());
+    coded_bytes.reserve(bytes.size() / k * rs->n());
     for (std::size_t off = 0; off < bytes.size(); off += k) {
-      const bytevec block = state_->rs->encode(
+      const bytevec block = rs->encode(
           std::span<const std::uint8_t>(bytes).subspan(off, k));
       coded_bytes.insert(coded_bytes.end(), block.begin(), block.end());
     }
@@ -197,23 +162,16 @@ bitvec Transmitter::encode_payload(
 
 cvec Transmitter::preamble_samples() const {
   OFDM_REQUIRE(state_, kUnconfigured);
-  const OfdmParams& p = state_->params;
-  switch (p.frame.preamble) {
-    case PreambleKind::kNone:
-      return {};
-    case PreambleKind::kWlan:
-      return wlan_preamble(p);
-    case PreambleKind::kPhaseReference: {
-      const cvec data =
-          phase_reference_values(p, state_->layout.data_bins.size());
-      const cvec pil(p.pilots.base_values);
-      Modulator mod(p, state_->layout);
-      cvec out;
-      mod.emit(mod.assemble(data, pil), out);
-      return out;
-    }
+  const State& s = *state_;
+  if (s.params.frame.preamble != PreambleKind::kPhaseReference) {
+    return s.dp.wlan_preamble;  // empty without a preamble
   }
-  return {};
+  // The reference symbol as a fresh burst emits it: no window tail
+  // ahead of it.
+  Modulator mod(s.params, s.dp);
+  cvec out;
+  mod.modulate_symbol(s.dp.ref_values, s.params.pilots.base_values, out);
+  return out;
 }
 
 Transmitter::Burst Transmitter::modulate(
@@ -233,14 +191,14 @@ void Transmitter::modulate_into(std::span<const std::uint8_t> payload_bits,
   burst.samples.clear();  // keeps capacity for burst reuse
   burst.payload_bits = payload_bits.size();
   burst.null_samples = 0;
-  burst.preamble_samples = 0;
 
+  const Datapath& dp = s.dp;
   const bitvec coded = encode_payload(payload_bits);
   burst.coded_bits = coded.size();
-  burst.data_symbols = coded.size() / s.cbps;
+  burst.data_symbols = coded.size() / dp.cbps;
 
-  s.modulator->reset();
-  s.pilots->reset();
+  s.modulator.reset();
+  s.pilots.reset();
 
   cvec& out = burst.samples;
   out.reserve(p.frame.null_samples +
@@ -248,84 +206,62 @@ void Transmitter::modulate_into(std::span<const std::uint8_t> payload_bits,
 
   // 1. Null symbol (DAB-style leading silence).
   if (p.frame.null_samples > 0) {
-    s.modulator->emit_silence(p.frame.null_samples, out);
+    s.modulator.emit_silence(p.frame.null_samples, out);
     burst.null_samples = p.frame.null_samples;
   }
 
-  // 2. Preamble / phase reference.
+  // 2. Preamble / phase reference, from the datapath's cached section.
+  // The reference symbol goes through the modulator so its window tail
+  // overlaps the first payload symbol.
   switch (p.frame.preamble) {
     case PreambleKind::kNone:
       break;
-    case PreambleKind::kWlan: {
-      const cvec pre = wlan_preamble(p);
-      s.modulator->emit_raw(pre, out);
-      burst.preamble_samples = pre.size();
+    case PreambleKind::kWlan:
+      s.modulator.emit_raw(dp.wlan_preamble, out);
       break;
-    }
-    case PreambleKind::kPhaseReference: {
-      const cvec ref_data =
-          phase_reference_values(p, s.layout.data_bins.size());
-      const cvec ref_pilots(p.pilots.base_values);
-      const std::size_t before = out.size();
-      s.modulator->emit(s.modulator->assemble(ref_data, ref_pilots), out);
-      burst.preamble_samples = out.size() - before;
-      if (s.diff) s.diff->reset(ref_data);
+    case PreambleKind::kPhaseReference:
+      s.modulator.modulate_symbol(dp.ref_values, p.pilots.base_values, out);
+      if (s.diff) s.diff->reset(dp.ref_values);
       break;
-    }
   }
+  burst.preamble_samples = dp.preamble_len;
 
   // 3. Payload symbols, in order: differential mapping, the pilot PRBS
   // and the window overlap-add carry state from symbol to symbol.
-  //
-  // Fixed-constellation configurations with no interleaving have no
-  // per-symbol bit machinery at all, so the whole coded stream is
-  // block-mapped in one kernel sweep and each symbol just takes a view
-  // of its slice — the same values map_all would produce per symbol.
-  const std::size_t n_data = s.layout.data_bins.size();
-  const bool block_map = p.mapping == MappingKind::kFixed &&
-                         !s.bit_interleaver && !s.cell_interleaver;
-  if (block_map) s.constellation->map_into(coded, s.mapped_all);
-
   cvec& mapped = s.data_scratch;
   for (std::size_t sym = 0; sym < burst.data_symbols; ++sym) {
-    if (block_map) {
-      s.modulator->modulate_symbol(
-          std::span<const cplx>(s.mapped_all).subspan(sym * n_data, n_data),
-          s.pilots->next_symbol(), out);
-      continue;
-    }
     const auto sym_bits = std::span<const std::uint8_t>(coded).subspan(
-        sym * s.cbps, s.cbps);
+        sym * dp.cbps, dp.cbps);
 
     // Per-symbol bit interleaving.
     bitvec permuted;
     std::span<const std::uint8_t> mapped_bits = sym_bits;
-    if (s.bit_interleaver) {
-      permuted = s.bit_interleaver->interleave(sym_bits);
+    if (dp.bit_interleaver) {
+      permuted = dp.bit_interleaver->interleave(sym_bits);
       mapped_bits = permuted;
     }
 
     // Bits -> tone values.
     switch (p.mapping) {
       case MappingKind::kFixed:
-        s.constellation->map_into(mapped_bits, mapped);
+        dp.constellation->map_into(mapped_bits, mapped);
         break;
       case MappingKind::kDifferential:
         mapped = s.diff->map_symbol(mapped_bits);
         break;
       case MappingKind::kBitTable:
-        mapped = s.dmt->map_symbol(mapped_bits);
+        mapped = dp.dmt->map_symbol(mapped_bits);
         break;
     }
 
     // Cell interleaving permutes mapped values across the data tones.
-    if (s.cell_interleaver) {
-      mapped = s.cell_interleaver->interleave(std::span<const cplx>(mapped));
+    if (dp.cell_interleaver) {
+      mapped = dp.cell_interleaver->interleave(std::span<const cplx>(mapped));
     }
-    s.modulator->modulate_symbol(mapped, s.pilots->next_symbol(), out);
+    s.modulator.modulate_symbol(mapped, s.pilots.next_symbol(), out);
   }
 
-  s.modulator->flush(out);
+  s.modulator.flush(out);
 }
 
 }  // namespace ofdm::core

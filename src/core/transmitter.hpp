@@ -9,19 +9,9 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <span>
 
-#include "core/modulator.hpp"
 #include "core/params.hpp"
-#include "core/pilots.hpp"
-#include "mapping/bitloading.hpp"
-#include "mapping/constellation.hpp"
-#include "mapping/differential.hpp"
-
-namespace ofdm::coding {
-class PermutationInterleaver;
-}
 
 namespace ofdm::core {
 

@@ -90,13 +90,6 @@ struct Kernels {
   /// a[i] += b[i] over raw doubles (fading-channel phase advance).
   void (*rvec_add)(double* a, const double* b, std::size_t n);
 
-  /// Constellation mapping: `bits` holds n_sym * bps unpacked bits (one
-  /// per byte, MSB of each symbol first); out[j] = lut[index_j] where
-  /// index_j folds the j-th group of bps bits MSB-first. bps in [1, 16];
-  /// lut has 2^bps entries.
-  void (*map_lut)(const std::uint8_t* bits, std::size_t n_sym,
-                  std::size_t bps, const cplx* lut, cplx* out);
-
   /// Max-log soft demap. For symbol j and bit b (MSB-first over n_bits):
   ///   out[j * n_bits + b] = (d1 - d0) / noise_var[j * nv_stride]
   /// where d_c is the minimum squared distance dr*dr + di*di (dr/di the

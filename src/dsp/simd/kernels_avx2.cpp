@@ -407,7 +407,6 @@ const Kernels& avx2_kernels() {
       avx2::cvec_mul,
       avx2::cvec_scale,
       avx2::rvec_add,
-      scalar_kernels().map_lut,
       avx2::demap_soft,
   };
   return table;

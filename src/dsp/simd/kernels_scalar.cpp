@@ -160,18 +160,6 @@ void rvec_add(double* a, const double* b, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) a[i] += b[i];
 }
 
-void map_lut(const std::uint8_t* bits, std::size_t n_sym,
-             std::size_t bps, const cplx* lut, cplx* out) {
-  for (std::size_t j = 0; j < n_sym; ++j) {
-    std::size_t index = 0;
-    const std::uint8_t* g = bits + j * bps;
-    for (std::size_t b = 0; b < bps; ++b) {
-      index = (index << 1) | (g[b] & 1u);
-    }
-    out[j] = lut[index];
-  }
-}
-
 void demap_soft(const cplx* syms, std::size_t n_sym, const cplx* points,
                 std::size_t n_points, std::size_t n_bits,
                 const double* noise_var, std::size_t nv_stride,
@@ -219,7 +207,6 @@ const Kernels& scalar_kernels() {
       scalar::cvec_mul,
       scalar::cvec_scale,
       scalar::rvec_add,
-      scalar::map_lut,
       scalar::demap_soft,
   };
   return table;

@@ -123,8 +123,14 @@ void Constellation::map_into(std::span<const std::uint8_t> bits,
   const std::size_t n_sym = bits.size() / bps;
   out.resize(n_sym);
   if (!lut_.empty()) {
-    simd::kernels().map_lut(bits.data(), n_sym, bps, lut_.data(),
-                            out.data());
+    // Fold each symbol's bits MSB-first into its point-table index.
+    for (std::size_t j = 0; j < n_sym; ++j) {
+      std::size_t index = 0;
+      for (std::size_t b = 0; b < bps; ++b) {
+        index = (index << 1) | (bits[j * bps + b] & 1u);
+      }
+      out[j] = lut_[index];
+    }
     return;
   }
   for (std::size_t i = 0; i < n_sym; ++i) {

@@ -4,9 +4,8 @@
 #include <cmath>
 #include <sstream>
 
-#include "coding/interleaver.hpp"
 #include "common/error.hpp"
-#include "mapping/constellation.hpp"
+#include "core/datapath.hpp"
 
 namespace ofdm::rtl {
 
@@ -47,8 +46,9 @@ std::string header(const OfdmParams& p, const std::string& what) {
   return os.str();
 }
 
-VhdlFile make_package(const OfdmParams& p, const std::string& id) {
-  const core::ToneLayout layout = core::make_tone_layout(p);
+VhdlFile make_package(const OfdmParams& p, const std::string& id,
+                      const core::Datapath& dp) {
+  const core::ToneLayout& layout = dp.layout;
   std::ostringstream os;
   os << header(p, "Parameter package");
   os << "package " << id << "_pkg is\n";
@@ -181,23 +181,9 @@ VhdlFile make_conv_encoder(const OfdmParams& p, const std::string& id) {
 }
 
 VhdlFile make_interleaver_rom(const OfdmParams& p, const std::string& id,
-                              std::size_t cbps) {
-  std::vector<std::size_t> mapping;
-  switch (p.interleaver.kind) {
-    case core::InterleaverKind::kWlan:
-      mapping = coding::make_wlan_interleaver(
-                    cbps, mapping::bits_per_symbol(p.scheme))
-                    .mapping();
-      break;
-    case core::InterleaverKind::kBlock:
-      mapping = coding::make_block_interleaver(
-                    p.interleaver.rows, cbps / p.interleaver.rows)
-                    .mapping();
-      break;
-    case core::InterleaverKind::kCell:
-    case core::InterleaverKind::kNone:
-      return {};  // no bit-interleaver ROM for this member
-  }
+                              const core::Datapath& dp) {
+  if (!dp.bit_interleaver) return {};  // no bit-interleaver ROM
+  const std::vector<std::size_t>& mapping = dp.bit_interleaver->mapping();
   std::ostringstream os;
   os << header(p, "Interleaver address ROM");
   os << "entity " << id << "_interleaver_rom is\n"
@@ -220,9 +206,9 @@ VhdlFile make_interleaver_rom(const OfdmParams& p, const std::string& id,
 }
 
 VhdlFile make_mapper_rom(const OfdmParams& p, const std::string& id,
-                         unsigned fixed_bits) {
-  if (p.mapping != core::MappingKind::kFixed) return {};
-  const auto c = mapping::Constellation::make(p.scheme);
+                         const core::Datapath& dp, unsigned fixed_bits) {
+  if (!dp.constellation) return {};  // no fixed mapping
+  const mapping::Constellation& c = *dp.constellation;
   std::ostringstream os;
   os << header(p, "Constellation mapper ROM (" +
                       mapping::scheme_name(p.scheme) + ")");
@@ -278,21 +264,20 @@ long to_fixed(double value, unsigned fixed_bits) {
 
 VhdlBundle generate_vhdl(const core::OfdmParams& params,
                          unsigned fixed_bits) {
-  core::validate(params);
+  const core::Datapath dp(params);
   const std::string id = identifier_for(params);
-  const std::size_t cbps = core::coded_bits_per_symbol(params);
 
   VhdlBundle bundle;
-  bundle.files.push_back(make_package(params, id));
+  bundle.files.push_back(make_package(params, id, dp));
   if (params.scrambler.enabled) {
     bundle.files.push_back(make_scrambler(params, id));
   }
   if (params.fec.conv_enabled) {
     bundle.files.push_back(make_conv_encoder(params, id));
   }
-  VhdlFile inter = make_interleaver_rom(params, id, cbps);
+  VhdlFile inter = make_interleaver_rom(params, id, dp);
   if (!inter.filename.empty()) bundle.files.push_back(std::move(inter));
-  VhdlFile mapper = make_mapper_rom(params, id, fixed_bits);
+  VhdlFile mapper = make_mapper_rom(params, id, dp, fixed_bits);
   if (!mapper.filename.empty()) bundle.files.push_back(std::move(mapper));
   return bundle;
 }

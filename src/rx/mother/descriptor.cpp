@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "core/datapath.hpp"
+
 namespace ofdm::rx {
 
 using core::OfdmParams;
@@ -93,8 +95,7 @@ RxDescriptor describe_receiver(const OfdmParams& params) {
   d.interleaver = interleaver_name(params, cbps);
   d.inner_code = inner_code_name(params);
   d.outer_code = outer_code_name(params);
-  d.soft_capable = params.fec.conv_enabled &&
-                   params.mapping == core::MappingKind::kFixed;
+  d.soft_capable = core::Datapath::soft_capable(params);
 
   std::ostringstream chain;
   chain << "sync[" << d.sync << "] -> cp-strip -> fft("

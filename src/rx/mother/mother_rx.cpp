@@ -8,7 +8,6 @@
 #include "common/bits.hpp"
 #include "common/error.hpp"
 #include "core/pilots.hpp"
-#include "core/preamble.hpp"
 
 namespace ofdm::rx {
 
@@ -31,64 +30,17 @@ std::optional<RxMode> rx_mode_from_name(std::string_view name) {
 }
 
 MotherReceiver::MotherReceiver(core::OfdmParams params, RxOptions options)
-    : params_(std::move(params)), options_(options) {
-  core::validate(params_);
-  const OfdmParams& p = params_;
-  layout_ = core::make_tone_layout(p);
-  fft_ = dsp::Fft(p.fft_size);
-  cbps_ = core::coded_bits_per_symbol(p);
-
-  std::size_t used = layout_.used_tones();
-  if (p.hermitian) used *= 2;
-  scale_ = static_cast<double>(p.fft_size) /
-           std::sqrt(static_cast<double>(used));
-
-  switch (p.mapping) {
-    case MappingKind::kFixed:
-      constellation_ = mapping::Constellation::make(p.scheme);
-      break;
-    case MappingKind::kDifferential:
-      break;  // demapper is per-burst state, created in demodulate()
-    case MappingKind::kBitTable:
-      dmt_.emplace(p.bit_table);
-      break;
-  }
-
-  switch (p.interleaver.kind) {
-    case core::InterleaverKind::kNone:
-      break;
-    case core::InterleaverKind::kWlan:
-      bit_interleaver_ = coding::make_wlan_interleaver(
-          cbps_, mapping::bits_per_symbol(p.scheme));
-      break;
-    case core::InterleaverKind::kBlock:
-      bit_interleaver_ = coding::make_block_interleaver(
-          p.interleaver.rows, cbps_ / p.interleaver.rows);
-      break;
-    case core::InterleaverKind::kCell:
-      cell_interleaver_ = coding::make_random_interleaver(
-          layout_.data_bins.size(), p.interleaver.seed);
-      break;
-  }
-
-  if (p.fec.conv_enabled) viterbi_.emplace(p.fec.conv);
-  if (p.fec.rs_enabled) rs_.emplace(p.fec.rs_n, p.fec.rs_k);
-
-  switch (p.frame.preamble) {
-    case PreambleKind::kNone:
-      preamble_len_ = 0;
-      break;
-    case PreambleKind::kWlan:
-      preamble_len_ = 320;
-      // Fine-timing template: the LTF time symbol, conjugated for the
-      // cross-correlation in synchronize(). Its scale does not move the
-      // correlation peak.
-      ltf_ref_ = fft_.inverse(core::wlan_ltf_bins());
-      for (cplx& v : ltf_ref_) v = std::conj(v);
-      break;
-    case PreambleKind::kPhaseReference:
-      preamble_len_ = p.symbol_len();
-      break;
+    : params_(std::move(params)),
+      options_(options),
+      dp_(params_),
+      fft_(params_.fft_size) {
+  if (params_.fec.conv_enabled) viterbi_.emplace(params_.fec.conv);
+  if (params_.frame.preamble == PreambleKind::kWlan) {
+    // Fine-timing template: the LTF time symbol, conjugated for the
+    // cross-correlation in synchronize(). Its scale does not move the
+    // correlation peak.
+    ltf_ref_ = fft_.inverse(dp_.ltf_bins);
+    for (cplx& v : ltf_ref_) v = std::conj(v);
   }
 }
 
@@ -110,20 +62,20 @@ void MotherReceiver::set_noise_from_sample_variance(double sigma2) {
                "variance must be non-negative");
   // An unnormalized N-point forward FFT of white noise with per-sample
   // variance sigma2 has per-bin variance N*sigma2; the demodulator then
-  // divides by scale_, so the tone-domain floor is N*sigma2/scale_^2.
+  // divides by the tone scale s, so the tone-domain floor is N*sigma2/s^2.
   const double n = static_cast<double>(params_.fft_size);
-  const double floor = n * sigma2 / (scale_ * scale_);
+  const double floor = n * sigma2 / (dp_.tone_scale * dp_.tone_scale);
   noise_floor_ = std::max(floor, 1e-12);
 }
 
 bool MotherReceiver::soft_path_active() const {
   return options_.demap == mapping::DemapMode::kSoft &&
-         options_.mode == RxMode::kCoded && params_.fec.conv_enabled &&
-         params_.mapping == MappingKind::kFixed;
+         options_.mode == RxMode::kCoded &&
+         core::Datapath::soft_capable(params_);
 }
 
 std::size_t MotherReceiver::payload_offset() const {
-  return params_.frame.null_samples + preamble_len_;
+  return params_.frame.null_samples + dp_.preamble_len;
 }
 
 // FFT window of the symbol starting at `offset`, descaled and (when
@@ -159,7 +111,7 @@ cvec MotherReceiver::demod_bins(std::span<const cplx> burst,
   } else {
     fft_.forward(window, bins);
   }
-  const double inv = 1.0 / scale_;
+  const double inv = 1.0 / dp_.tone_scale;
   for (cplx& v : bins) v *= inv;
   if (equalized && !equalizer_.empty()) {
     for (std::size_t i = 0; i < bins.size(); ++i) bins[i] *= equalizer_[i];
@@ -172,8 +124,9 @@ cvec MotherReceiver::demod_bins(std::span<const cplx> burst,
 cplx MotherReceiver::pilot_rotor(const cvec& bins,
                                  const cvec& expected) const {
   cplx acc{0.0, 0.0};
-  for (std::size_t i = 0; i < layout_.pilot_bins.size(); ++i) {
-    acc += bins[layout_.pilot_bins[i]] * std::conj(expected[i]);
+  const std::vector<std::size_t>& pilot_bins = dp_.layout.pilot_bins;
+  for (std::size_t i = 0; i < pilot_bins.size(); ++i) {
+    acc += bins[pilot_bins[i]] * std::conj(expected[i]);
   }
   const double mag = std::abs(acc);
   if (mag < 1e-12) return cplx{1.0, 0.0};
@@ -188,12 +141,12 @@ void MotherReceiver::extract_symbol(const cvec& bins,
   const cplx rotor = options_.pilot_tracking
                          ? pilot_rotor(bins, expected_pilots)
                          : cplx{1.0, 0.0};
-  data.resize(layout_.data_bins.size());
+  data.resize(dp_.layout.data_bins.size());
   for (std::size_t i = 0; i < data.size(); ++i) {
-    data[i] = bins[layout_.data_bins[i]] * rotor;
+    data[i] = bins[dp_.layout.data_bins[i]] * rotor;
   }
-  if (cell_interleaver_) {
-    data = cell_interleaver_->deinterleave(std::span<const cplx>(data));
+  if (dp_.cell_interleaver) {
+    data = dp_.cell_interleaver->deinterleave(std::span<const cplx>(data));
   }
 }
 
@@ -212,12 +165,12 @@ void MotherReceiver::soft_demap_symbol(const cvec& data,
       // Cell interleaving permutes tones; index the equalizer through
       // the same permutation the data went through.
       const std::size_t tone =
-          cell_interleaver_ ? cell_interleaver_->mapping()[i] : i;
-      noise_var *= std::norm(equalizer_[layout_.data_bins[tone]]);
+          dp_.cell_interleaver ? dp_.cell_interleaver->mapping()[i] : i;
+      noise_var *= std::norm(equalizer_[dp_.layout.data_bins[tone]]);
     }
     noise_scratch[i] = std::max(noise_var, 1e-12);
   }
-  constellation_->demap_soft_into(data, noise_scratch, llr_out);
+  dp_.constellation->demap_soft_into(data, noise_scratch, llr_out);
 }
 
 cvec MotherReceiver::estimate_equalizer(std::span<const cplx> burst) const {
@@ -237,9 +190,9 @@ cvec MotherReceiver::estimate_equalizer(std::span<const cplx> burst) const {
       // core::validate guarantees the 64-point geometry, so fft_ fits.
       const cvec r1 = fft_.forward(burst.subspan(t1, 64));
       const cvec r2 = fft_.forward(burst.subspan(t1 + 64, 64));
-      const cvec known = core::wlan_ltf_bins();
+      const cvec& known = dp_.ltf_bins;
       for (std::size_t bin = 0; bin < 64; ++bin) {
-        const cplx avg = (r1[bin] + r2[bin]) / (2.0 * scale_);
+        const cplx avg = (r1[bin] + r2[bin]) / (2.0 * dp_.tone_scale);
         if (std::abs(known[bin]) > 0.0 && std::abs(avg) > 1e-12) {
           eq[bin] = known[bin] / avg;
         }
@@ -249,14 +202,13 @@ cvec MotherReceiver::estimate_equalizer(std::span<const cplx> burst) const {
     case PreambleKind::kPhaseReference: {
       const std::size_t off = p.frame.null_samples;
       const cvec rx = demod_bins(burst, off, /*equalized=*/false);
-      const cvec ref_data =
-          core::phase_reference_values(p, layout_.data_bins.size());
-      for (std::size_t i = 0; i < layout_.data_bins.size(); ++i) {
-        const std::size_t bin = layout_.data_bins[i];
-        if (std::abs(rx[bin]) > 1e-12) eq[bin] = ref_data[i] / rx[bin];
+      const core::ToneLayout& layout = dp_.layout;
+      for (std::size_t i = 0; i < layout.data_bins.size(); ++i) {
+        const std::size_t bin = layout.data_bins[i];
+        if (std::abs(rx[bin]) > 1e-12) eq[bin] = dp_.ref_values[i] / rx[bin];
       }
-      for (std::size_t i = 0; i < layout_.pilot_bins.size(); ++i) {
-        const std::size_t bin = layout_.pilot_bins[i];
+      for (std::size_t i = 0; i < layout.pilot_bins.size(); ++i) {
+        const std::size_t bin = layout.pilot_bins[i];
         if (std::abs(rx[bin]) > 1e-12) {
           eq[bin] = p.pilots.base_values[i] / rx[bin];
         }
@@ -316,6 +268,22 @@ SyncReport MotherReceiver::synchronize(std::span<const cplx> stream,
     // sample 0: no lock rather than a wrapped offset.
     const std::size_t t1 = lo + best;
     if (t1 < kT1 + p.frame.null_samples) return report;
+    // T1/T2 repetition check. A stream that starts 36-50 samples into
+    // the STF misplaces the plateau, and the search lands on T2 or on
+    // an LTF sidelobe; only a true T1 repeats 64 samples later. Lock
+    // only if the normalized correlation of the two blocks is within
+    // 6 dB of a perfect repeat (multipath keeps both blocks periodic).
+    cplx rep{0.0, 0.0};
+    double e1 = 0.0;
+    double e2 = 0.0;
+    for (std::size_t i = 0; i < kLtf; ++i) {
+      const cplx a = win[best + i];
+      const cplx b = win[best + kLtf + i];
+      rep += a * std::conj(b);
+      e1 += std::norm(a);
+      e2 += std::norm(b);
+    }
+    if (std::norm(rep) < 0.25 * e1 * e2) return report;
 
     // Fine CFO from the two repeated long symbols (+-156 kHz range).
     const double fine =
@@ -349,7 +317,7 @@ std::vector<cvec> MotherReceiver::extract_data_tones(
     std::span<const cplx> burst, std::size_t n_symbols) const {
   std::vector<cvec> out;
   out.reserve(n_symbols);
-  core::PilotGenerator pilots(params_.pilots, layout_.pilot_bins.size());
+  core::PilotGenerator pilots(params_.pilots, dp_.layout.pilot_bins.size());
   std::size_t offset = payload_offset();
   for (std::size_t sym = 0; sym < n_symbols; ++sym) {
     const cvec bins = demod_bins(burst, offset, /*equalized=*/true);
@@ -366,22 +334,24 @@ MotherReceiver::Result MotherReceiver::demodulate(
   const OfdmParams& p = params_;
   const core::ChainLengths len = core::chain_lengths(p, payload_bits);
   const std::size_t min_syms = p.frame.symbols_per_frame;
-  const std::size_t n_symbols = std::max(
-      min_syms, (len.punctured_bits + cbps_ - 1) / cbps_);
+  const std::size_t cbps = dp_.cbps;
+  const std::size_t n_symbols =
+      std::max(min_syms, (len.punctured_bits + cbps - 1) / cbps);
 
   Result result;
   result.symbols = n_symbols;
 
   // Differential demapper seeded from the *received* phase reference so
   // a static channel phase cancels out.
+  const core::ToneLayout& layout = dp_.layout;
   std::optional<mapping::DifferentialMapper> diff;
   if (p.mapping == MappingKind::kDifferential) {
-    diff.emplace(p.diff_kind, layout_.data_bins.size());
+    diff.emplace(p.diff_kind, layout.data_bins.size());
     const std::size_t ref_off = p.frame.null_samples;
     const cvec bins = demod_bins(burst, ref_off, /*equalized=*/true);
-    cvec ref(layout_.data_bins.size());
+    cvec ref(layout.data_bins.size());
     for (std::size_t i = 0; i < ref.size(); ++i) {
-      ref[i] = bins[layout_.data_bins[i]];
+      ref[i] = bins[layout.data_bins[i]];
     }
     diff->reset(ref);
   }
@@ -390,9 +360,9 @@ MotherReceiver::Result MotherReceiver::demodulate(
   const bool soft = soft_path_active();
   bitvec coded;
   rvec soft_coded;
-  coded.reserve(soft ? 0 : n_symbols * cbps_);
-  if (soft) soft_coded.reserve(n_symbols * cbps_);
-  core::PilotGenerator pilots(p.pilots, layout_.pilot_bins.size());
+  coded.reserve(soft ? 0 : n_symbols * cbps);
+  if (soft) soft_coded.reserve(n_symbols * cbps);
+  core::PilotGenerator pilots(p.pilots, layout.pilot_bins.size());
   std::size_t offset = payload_offset();
   cvec data;
   rvec noise_scratch;
@@ -403,8 +373,8 @@ MotherReceiver::Result MotherReceiver::demodulate(
 
     if (soft) {
       soft_demap_symbol(data, noise_scratch, sym_llr);
-      if (bit_interleaver_) {
-        sym_llr = bit_interleaver_->deinterleave(
+      if (dp_.bit_interleaver) {
+        sym_llr = dp_.bit_interleaver->deinterleave(
             std::span<const double>(sym_llr));
       }
       soft_coded.insert(soft_coded.end(), sym_llr.begin(),
@@ -416,17 +386,17 @@ MotherReceiver::Result MotherReceiver::demodulate(
     bitvec sym_bits;
     switch (p.mapping) {
       case MappingKind::kFixed:
-        sym_bits = constellation_->demap_all(data);
+        sym_bits = dp_.constellation->demap_all(data);
         break;
       case MappingKind::kDifferential:
         sym_bits = diff->demap_symbol(data);
         break;
       case MappingKind::kBitTable:
-        sym_bits = dmt_->demap_symbol(data);
+        sym_bits = dp_.dmt->demap_symbol(data);
         break;
     }
-    if (bit_interleaver_) {
-      sym_bits = bit_interleaver_->deinterleave(
+    if (dp_.bit_interleaver) {
+      sym_bits = dp_.bit_interleaver->deinterleave(
           std::span<const std::uint8_t>(sym_bits));
     }
     coded.insert(coded.end(), sym_bits.begin(), sym_bits.end());
@@ -459,20 +429,20 @@ MotherReceiver::Result MotherReceiver::demodulate(
   bits.resize(len.rs_out_bits);
 
   // 3. Outer code.
-  if (p.fec.rs_enabled) {
+  if (const auto& rs = dp_.rs) {
     const bytevec rx_bytes = bits_to_bytes_msb(bits);
     bytevec message;
-    message.reserve(rx_bytes.size() / rs_->n() * rs_->k());
-    for (std::size_t off = 0; off < rx_bytes.size(); off += rs_->n()) {
+    message.reserve(rx_bytes.size() / rs->n() * rs->k());
+    for (std::size_t off = 0; off < rx_bytes.size(); off += rs->n()) {
       const auto block = std::span<const std::uint8_t>(rx_bytes)
-                             .subspan(off, rs_->n());
-      auto decoded = rs_->decode(block);
+                             .subspan(off, rs->n());
+      auto decoded = rs->decode(block);
       if (!decoded.success) {
         ++result.rs_blocks_failed;
         // Fall back to the systematic part.
         decoded.message.assign(block.begin(),
                                block.begin() + static_cast<std::ptrdiff_t>(
-                                                   rs_->k()));
+                                                   rs->k()));
       }
       message.insert(message.end(), decoded.message.begin(),
                      decoded.message.end());

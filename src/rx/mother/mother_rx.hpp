@@ -13,9 +13,8 @@
 #include <string_view>
 #include <vector>
 
-#include "coding/interleaver.hpp"
-#include "coding/reed_solomon.hpp"
 #include "coding/viterbi.hpp"
+#include "core/datapath.hpp"
 #include "core/params.hpp"
 #include "dsp/fft.hpp"
 #include "rx/mother/rx_mode.hpp"
@@ -120,18 +119,10 @@ class MotherReceiver {
 
   core::OfdmParams params_;
   RxOptions options_;
-  core::ToneLayout layout_;
-  dsp::Fft fft_{64};
-  double scale_ = 1.0;
+  core::Datapath dp_;  // shared stages, built from params_
+  dsp::Fft fft_;
   double noise_floor_ = 1.0;
-  std::optional<mapping::Constellation> constellation_;
-  std::optional<mapping::DmtMapper> dmt_;
-  std::optional<coding::PermutationInterleaver> bit_interleaver_;
-  std::optional<coding::PermutationInterleaver> cell_interleaver_;
   std::optional<coding::ViterbiDecoder> viterbi_;
-  std::optional<coding::ReedSolomon> rs_;
-  std::size_t cbps_ = 0;
-  std::size_t preamble_len_ = 0;
   cvec equalizer_;  // empty = identity
   cvec ltf_ref_;    // conj(LTF time symbol); WLAN preamble only
 };

@@ -38,8 +38,9 @@ cvec random_tones(std::size_t n, std::uint64_t seed) {
 
 TEST(Modulator, AssemblePlacesTonesAtLayoutBins) {
   const OfdmParams p = small_params();
-  const ToneLayout layout = make_tone_layout(p);
-  Modulator mod(p, layout);
+  const Datapath dp(p);
+  const ToneLayout& layout = dp.layout;
+  Modulator mod(p, dp);
   const cvec data = random_tones(layout.data_bins.size(), 1);
   const cvec freq = mod.assemble(data, {});
   for (std::size_t i = 0; i < layout.data_bins.size(); ++i) {
@@ -52,8 +53,9 @@ TEST(Modulator, AssemblePlacesTonesAtLayoutBins) {
 
 TEST(Modulator, CyclicPrefixIsACopyOfTheTail) {
   const OfdmParams p = small_params();
-  const ToneLayout layout = make_tone_layout(p);
-  Modulator mod(p, layout);
+  const Datapath dp(p);
+  const ToneLayout& layout = dp.layout;
+  Modulator mod(p, dp);
   cvec out;
   mod.emit(mod.assemble(random_tones(layout.data_bins.size(), 2), {}),
            out);
@@ -68,8 +70,9 @@ TEST(Modulator, UnitAveragePowerAcrossConfigurations) {
   for (Standard s : {Standard::kWlan80211a, Standard::kDab,
                      Standard::kDvbT, Standard::kDrm}) {
     OfdmParams p = profile_for(s);
-    const ToneLayout layout = make_tone_layout(p);
-    Modulator mod(p, layout);
+    const Datapath dp(p);
+    const ToneLayout& layout = dp.layout;
+    Modulator mod(p, dp);
     cvec out;
     for (int sym = 0; sym < 4; ++sym) {
       mod.emit(mod.assemble(random_tones(layout.data_bins.size(),
@@ -87,8 +90,9 @@ TEST(Modulator, HermitianOutputIsReal) {
   p.hermitian = true;
   p.tone_map = null_tone_map(32);
   for (long k = 1; k <= 10; ++k) set_tone(p.tone_map, k, ToneType::kData);
-  const ToneLayout layout = make_tone_layout(p);
-  Modulator mod(p, layout);
+  const Datapath dp(p);
+  const ToneLayout& layout = dp.layout;
+  Modulator mod(p, dp);
   cvec out;
   mod.emit(mod.assemble(random_tones(10, 4), {}), out);
   for (const cplx& v : out) {
@@ -102,13 +106,14 @@ TEST(Modulator, WindowRampOverlapKeepsFftWindowClean) {
   // The FFT window (after the CP) of every symbol must be identical with
   // and without windowing — the ramp only touches CP and suffix samples.
   OfdmParams p = small_params();
-  const ToneLayout layout = make_tone_layout(p);
+  const Datapath dp(p);
+  const ToneLayout& layout = dp.layout;
   const cvec tones_a = random_tones(layout.data_bins.size(), 5);
   const cvec tones_b = random_tones(layout.data_bins.size(), 6);
 
   cvec plain;
   {
-    Modulator mod(p, layout);
+    Modulator mod(p, dp);
     mod.emit(mod.assemble(tones_a, {}), plain);
     mod.emit(mod.assemble(tones_b, {}), plain);
     mod.flush(plain);
@@ -116,7 +121,7 @@ TEST(Modulator, WindowRampOverlapKeepsFftWindowClean) {
   p.window_ramp = 4;
   cvec windowed;
   {
-    Modulator mod(p, layout);
+    Modulator mod(p, dp);
     mod.emit(mod.assemble(tones_a, {}), windowed);
     mod.emit(mod.assemble(tones_b, {}), windowed);
     mod.flush(windowed);
@@ -135,8 +140,9 @@ TEST(Modulator, WindowRampOverlapKeepsFftWindowClean) {
 TEST(Modulator, WindowedSymbolEdgesAreTapered) {
   OfdmParams p = small_params();
   p.window_ramp = 4;
-  const ToneLayout layout = make_tone_layout(p);
-  Modulator mod(p, layout);
+  const Datapath dp(p);
+  const ToneLayout& layout = dp.layout;
+  Modulator mod(p, dp);
   cvec out;
   mod.emit(mod.assemble(random_tones(layout.data_bins.size(), 7), {}),
            out);
@@ -150,8 +156,9 @@ TEST(Modulator, WindowedSymbolEdgesAreTapered) {
 TEST(Modulator, EmitSilenceAppliesPendingTail) {
   OfdmParams p = small_params();
   p.window_ramp = 4;
-  const ToneLayout layout = make_tone_layout(p);
-  Modulator mod(p, layout);
+  const Datapath dp(p);
+  const ToneLayout& layout = dp.layout;
+  Modulator mod(p, dp);
   cvec out;
   mod.emit(mod.assemble(random_tones(layout.data_bins.size(), 8), {}),
            out);
@@ -172,8 +179,9 @@ TEST(Modulator, EmitSilenceAppliesPendingTail) {
 
 TEST(Modulator, RejectsWrongValueCounts) {
   const OfdmParams p = small_params();
-  const ToneLayout layout = make_tone_layout(p);
-  Modulator mod(p, layout);
+  const Datapath dp(p);
+  const ToneLayout& layout = dp.layout;
+  Modulator mod(p, dp);
   EXPECT_THROW(mod.assemble(cvec(3), {}), DimensionError);
 }
 

@@ -7,14 +7,19 @@
 // *identical* samples to a fresh one for every family standard. The
 // Hermitian inverse fast path, the in-place transforms and the fused
 // output scale are checked against the reference DFT the same way the
-// FFT unit tests are.
+// FFT unit tests are. Transmit digests over random configurations pin
+// the per-symbol path's output, fixed-mapping configurations without an
+// interleaver included.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <random>
 
 #include "core/profiles.hpp"
 #include "core/transmitter.hpp"
 #include "dsp/fft.hpp"
+#include "random_params.hpp"
 
 namespace ofdm::core {
 namespace {
@@ -45,6 +50,76 @@ TEST(SymbolPath, ReusedTransmitterMatchesFreshOneAcrossFamily) {
           << standard_name(std_id) << " sample " << i;
     }
   }
+}
+
+// Random configurations (tests/random_params.hpp seeds) whose transmit
+// digests were recorded when fixed-mapping configurations without an
+// interleaver (seeds 2, 8, 16, 46, 47, 54) still took a separate
+// whole-stream mapping sweep; the per-symbol loop must emit the same
+// samples. The rest cover interleaved, differential and DMT members.
+struct TxDigest {
+  std::uint64_t seed;
+  std::uint64_t digest;
+};
+constexpr TxDigest kTxDigests[] = {
+    {2, 0x1022cdf41cc746a1},  {8, 0xf168d2892c908f2d},
+    {16, 0x2fd5c24bbaf452d5}, {46, 0x1f5125a6f33b72fd},
+    {47, 0x3c07c85aae953e11}, {54, 0xfa1b73cd5554e5c5},
+    {3, 0xa6f0e5dd967a631d},  {5, 0x0010fcac5fe51a5d},
+    {6, 0x050cda65d090ca81},  {9, 0xdab6e4fe7d39bf85},
+    {23, 0xa85615cae5597bf5},
+};
+
+void fnv_mix(std::uint64_t& h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xFFu;
+    h *= 0x100000001B3ull;
+  }
+}
+
+// FNV-1a over the sample bit patterns of two bursts (a full frame, then
+// a stretched one from the same transmitter) for each framing variant:
+// window ramp off/on times null samples off/on.
+std::uint64_t tx_digest(std::uint64_t seed) {
+  Rng cfg_rng(seed);
+  const OfdmParams drawn = test::random_params(cfg_rng);
+  std::uint64_t h = 0xCBF29CE484222325ull;
+  for (std::size_t ramp : {std::size_t{0},
+                           std::min<std::size_t>(drawn.cp_len, 4)}) {
+    for (std::size_t nulls : {std::size_t{0}, std::size_t{37}}) {
+      OfdmParams p = drawn;
+      p.window_ramp = ramp;
+      p.frame.null_samples = nulls;
+      Transmitter tx(p);
+      Rng rng(seed + 1000);
+      const std::size_t n = tx.recommended_payload_bits();
+      for (std::size_t bits : {n, n + 2 * tx.bits_per_symbol() + 3}) {
+        const Transmitter::Burst b = tx.modulate(rng.bits(bits));
+        fnv_mix(h, b.samples.size());
+        for (const cplx& v : b.samples) {
+          fnv_mix(h, std::bit_cast<std::uint64_t>(v.real()));
+          fnv_mix(h, std::bit_cast<std::uint64_t>(v.imag()));
+        }
+      }
+    }
+  }
+  return h;
+}
+
+TEST(SymbolPath, RandomConfigDigestsArePinned) {
+  std::size_t fixed_no_interleaver = 0;
+  for (const TxDigest& d : kTxDigests) {
+    Rng cfg_rng(d.seed);
+    const OfdmParams p = test::random_params(cfg_rng);
+    if (p.mapping == MappingKind::kFixed &&
+        p.interleaver.kind == InterleaverKind::kNone) {
+      ++fixed_no_interleaver;
+    }
+    const std::uint64_t got = tx_digest(d.seed);
+    EXPECT_EQ(got, d.digest)
+        << "seed " << d.seed << " got 0x" << std::hex << got;
+  }
+  EXPECT_GE(fixed_no_interleaver, 6u);
 }
 
 cvec random_hermitian_spectrum(std::size_t n, std::uint32_t seed) {

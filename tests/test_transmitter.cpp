@@ -148,14 +148,24 @@ TEST(Transmitter, EncodePayloadMatchesCodedLength) {
 }
 
 TEST(Transmitter, PreambleSamplesMatchBurstHead) {
-  Transmitter tx(profile_wlan_80211a());
-  Rng rng(9);
-  const auto burst = tx.modulate(rng.bits(200));
-  const cvec pre = tx.preamble_samples();
-  ASSERT_EQ(pre.size(), burst.preamble_samples);
-  for (std::size_t i = 0; i < pre.size(); ++i) {
-    EXPECT_NEAR(std::abs(pre[i] - burst.samples[i]), 0.0, 1e-12);
+  // Every member with a training section: the 802.11a preamble and the
+  // phase-reference symbol, which follows the null samples.
+  std::size_t with_preamble = 0;
+  for (Standard s : kStandardFamily) {
+    Transmitter tx(profile_for(s));
+    if (tx.params().frame.preamble == PreambleKind::kNone) continue;
+    ++with_preamble;
+    Rng rng(9);
+    const auto burst = tx.modulate(rng.bits(200));
+    const cvec pre = tx.preamble_samples();
+    ASSERT_EQ(pre.size(), burst.preamble_samples) << standard_name(s);
+    const std::size_t head = burst.null_samples;
+    for (std::size_t i = 0; i < pre.size(); ++i) {
+      ASSERT_NEAR(std::abs(pre[i] - burst.samples[head + i]), 0.0, 1e-12)
+          << standard_name(s) << " sample " << i;
+    }
   }
+  EXPECT_GE(with_preamble, 5u);
 }
 
 }  // namespace
