@@ -22,6 +22,9 @@
 # test_transmitter, test_pipeline and test_property_random_configs push
 # random OfdmParams through the shared core::Datapath, the transmitter
 # and the receiver, whose per-standard tables are indexed by geometry.
+# test_sync runs the running-sum CP and STF correlators against their
+# direct-loop oracles on short, silent-tailed and exactly-one-symbol
+# streams: the reads at d-1 and d+W-1+N are where an overread would hide.
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -34,7 +37,7 @@ cmake -B "${build}" -S "${repo}" \
 cmake --build "${build}" -j \
   --target test_guard test_fault test_snapshot test_rf test_channels \
   test_state_fuzz test_net test_convolutional test_mother_rx \
-  test_transmitter test_pipeline test_property_random_configs
+  test_transmitter test_pipeline test_property_random_configs test_sync
 ctest --test-dir "${build}" \
-  -R '^(test_guard|test_fault|test_snapshot|test_rf|test_channels|test_state_fuzz|test_net|test_convolutional|test_mother_rx|test_transmitter|test_pipeline|test_property_random_configs)$' \
+  -R '^(test_guard|test_fault|test_snapshot|test_rf|test_channels|test_state_fuzz|test_net|test_convolutional|test_mother_rx|test_transmitter|test_pipeline|test_property_random_configs|test_sync)$' \
   --output-on-failure "$@"

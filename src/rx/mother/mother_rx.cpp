@@ -242,8 +242,10 @@ SyncReport MotherReceiver::synchronize(std::span<const cplx> stream,
     // Coarse-correct only the window, then fine timing by LTF
     // cross-correlation. Under multipath the strongest peak can be a
     // delayed path, which would push the FFT window past the CP, so
-    // lock on the first candidate within 6 dB of the peak: above the
-    // LTF's cyclic-autocorrelation sidelobes (~-14 dB).
+    // lock on the first candidate within 10 dB of the peak: 4 dB above
+    // the LTF's cyclic-autocorrelation sidelobes (~-14 dB), and wide
+    // enough that sui_3's 0.9 us echo, 18 samples late (2 past the CP),
+    // does not win when fading leaves the direct path 6-10 dB below it.
     std::array<cplx, kWindow> win;
     derotate(stream.subspan(lo, kWindow), coarse, sample_rate, win);
     // Spelled out in real arithmetic: std::complex's multiply adds a
@@ -263,7 +265,7 @@ SyncReport MotherReceiver::synchronize(std::span<const cplx> stream,
     }
     const double peak = *std::max_element(power.begin(), power.end());
     std::size_t best = 0;
-    while (power[best] < 0.25 * peak) ++best;
+    while (power[best] < 0.1 * peak) ++best;
     // A stream that starts inside the STF puts the burst start before
     // sample 0: no lock rather than a wrapped offset.
     const std::size_t t1 = lo + best;
@@ -295,10 +297,13 @@ SyncReport MotherReceiver::synchronize(std::span<const cplx> stream,
     report.cfo_hz = coarse + fine;
     return report;
   }
-  // Everywhere else: cyclic-prefix correlation. The first strict
-  // maximum locks the earliest symbol boundary, which for a clean burst
-  // is the first (preamble or payload) OFDM symbol — null guard samples
-  // carry no CP energy, so they never win.
+  // Everywhere else: cyclic-prefix correlation, which locks the global
+  // maximum of the CP metric. On a clean burst every symbol boundary
+  // scores 1.0 and rounding-level ties keep the earliest, so it locks the
+  // first (preamble or payload) OFDM symbol; null guard samples carry no
+  // CP energy, so they never win. Under noise the maximum falls on an
+  // arbitrary symbol boundary, so the offset is symbol timing, not frame
+  // timing.
   if (p.cp_len == 0 ||
       stream.size() < p.fft_size + p.cp_len) {
     return report;

@@ -19,13 +19,19 @@ struct TimingEstimate {
 };
 
 /// Slide a CP correlator over `samples` and return the best symbol-start
-/// hypothesis. `sample_rate` only scales the CFO estimate.
+/// hypothesis: the window of `cp_len` samples whose normalized
+/// correlation with the one `fft_size` later is largest. O(1) per lag
+/// (running sums). Ties up to a relative 1e-12 keep the earliest lag, so
+/// a clean stream locks its first symbol boundary. `sample_rate` only
+/// scales the CFO estimate; `cp_len` 0 returns the zero estimate.
 TimingEstimate cp_timing(std::span<const cplx> samples,
                          std::size_t fft_size, std::size_t cp_len,
                          double sample_rate);
 
 /// Schmidl&Cox metric using the 16-sample periodicity of the 802.11a STF:
-/// returns the normalized metric sequence M[d] (length samples-32).
+/// returns the normalized metric sequence M[d], one value per full
+/// 32-sample window (length samples-31), from the same running-sum
+/// correlator detect_stf_plateau streams.
 rvec stf_metric(std::span<const cplx> samples);
 
 /// A detected 802.11a STF plateau.
@@ -36,6 +42,7 @@ struct StfPlateau {
 
 /// Packet detection: the first run of stf_metric above 0.7 that lasts 80
 /// samples (half the STF, so noise spikes are rejected), or nullopt.
+/// Streams the metric and stops at the plateau; allocates nothing.
 std::optional<StfPlateau> detect_stf_plateau(std::span<const cplx> samples);
 
 /// Estimate a fractional CFO from the phase of the delayed

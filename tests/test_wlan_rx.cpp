@@ -144,6 +144,22 @@ TEST(MotherRxAcquire, LocksOnFirstPathWhenAnEchoIsStronger) {
   EXPECT_EQ(metrics::ber(sc.payload, r.payload).errors, 0u);
 }
 
+// The sui_3 geometry: an echo 0.9 us (18 samples, past the CP) late
+// and 7 dB stronger than the faded direct path. The window must still
+// open on the direct path.
+TEST(MotherRxAcquire, LocksOnFirstPathBelowALateStrongerEcho) {
+  Scenario sc = make_scenario(core::WlanRate::k12, 250, 20e3, 30.0, 9);
+  cvec taps(19, cplx{0.0, 0.0});
+  taps[0] = {0.3, 0.3};
+  taps[18] = {1.0, 0.0};
+  rf::MultipathChannel ch(taps);
+  sc.stream = ch.process(sc.stream);
+  const Reception r = receive(sc);
+  ASSERT_GT(r.sync.metric, 0.0);
+  EXPECT_NEAR(static_cast<double>(r.sync.offset),
+              static_cast<double>(sc.true_start), 3.0);
+}
+
 TEST(MotherRxAcquire, PilotTrackingAbsorbsPhaseNoise) {
   Scenario sc = make_scenario(core::WlanRate::k12, 400, 0.0, 35.0, 5);
   rf::PhaseNoise pn(200.0, 20e6, 9);  // 200 Hz linewidth oscillator

@@ -5,13 +5,17 @@
 // capacity: process-into APIs, ping-pong chain buffers, per-plan FFT
 // scratch. This test replaces global operator new with a counting hook,
 // warms the chain up, then asserts that further chunks perform zero
-// heap allocations.
+// heap allocations. Burst acquisition (MotherReceiver::synchronize)
+// is held to the same rule: its correlators stream over the input.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <new>
 
+#include "common/rng.hpp"
+#include "core/profiles.hpp"
+#include "core/transmitter.hpp"
 #include "obs/probe.hpp"
 #include "obs/trace.hpp"
 #include "rf/chain.hpp"
@@ -25,6 +29,7 @@
 #include "rf/papr_reduction.hpp"
 #include "rf/sinks.hpp"
 #include "rf/submodel.hpp"
+#include "rx/mother/mother_rx.hpp"
 
 namespace {
 std::atomic<bool> g_counting{false};
@@ -244,6 +249,25 @@ TEST(ZeroAlloc, EmptyChainPassesThroughWithOneAssign) {
   EXPECT_EQ(allocs, 0u);
   ASSERT_EQ(out.size(), in.size());
   for (std::size_t i = 0; i < in.size(); ++i) EXPECT_EQ(out[i], in[i]);
+}
+
+TEST(ZeroAlloc, SynchronizeDoesNotAllocate) {
+  // STF plateau + LTF timing (802.11a) and CP correlation (DVB-T), each
+  // on a burst behind a lead of silence, from the first call on.
+  for (const core::OfdmParams& params :
+       {core::profile_wlan_80211a(), core::profile_dvbt()}) {
+    core::Transmitter tx(params);
+    const rx::MotherReceiver receiver(params);
+    Rng rng(21);
+    const auto burst = tx.modulate(rng.bits(tx.recommended_payload_bits()));
+    cvec stream(params.symbol_len() / 2, cplx{0.0, 0.0});
+    stream.insert(stream.end(), burst.samples.begin(), burst.samples.end());
+    rx::SyncReport report;
+    const std::size_t allocs = count_allocs(
+        [&] { report = receiver.synchronize(stream, params.sample_rate); });
+    EXPECT_EQ(allocs, 0u) << core::standard_name(params.standard);
+    EXPECT_GT(report.metric, 0.5) << core::standard_name(params.standard);
+  }
 }
 
 }  // namespace
